@@ -17,10 +17,12 @@
 //!   function of the schedule, so runs are cycle-deterministic (the
 //!   baseline ports and the benchmarks).
 //! * **Replan** — non-blocking sends ([`cell_sys::ppe::Ppe::try_write_in_mbox`])
-//!   and deadline-bounded polls: a dead or hung SPE surfaces as a
-//!   retry, then a failover that re-plans the schedule and re-routes
-//!   the lane (the resilient and serving ports; kernels must be
-//!   idempotent).
+//!   and deadline-bounded waits ([`portkit::recovery::await_reply`]):
+//!   a dead or hung SPE surfaces as a retry, then a failover that
+//!   re-plans the schedule and re-routes the lane (the resilient and
+//!   serving ports; kernels must be idempotent). A wait times out only
+//!   once the SPE sits idle on its inbound mailbox, so a slow host
+//!   thread is never mistaken for a silent SPE.
 //!
 //! Retry-in-place is only attempted when the timed-out lane has a
 //! *single* outstanding request and its words were fully delivered: a
@@ -29,22 +31,17 @@
 //! wholesale instead of guessing.
 
 use std::collections::{HashMap, VecDeque};
-use std::time::{Duration, Instant};
 
 use cell_core::{CellError, CellResult};
 use cell_sys::ppe::Ppe;
 use cell_trace::{Counter, EventKind};
 use portkit::interface::ReplyMode;
 use portkit::opcodes::{MAX_BATCH, SPU_BATCH, SPU_EXIT, SPU_SPAN};
+use portkit::recovery::{await_reply, dead_spe, poll_reply, Awaited};
 use portkit::schedule::{KernelId, Schedule};
 use portkit::RetryPolicy;
 
 use crate::policy::{EngineObserver, FailoverMode, NoopObserver, RecoveryEvent, RecoveryKind};
-
-/// Host-time grace period after a virtual deadline expires (the virtual
-/// clock can outrun a descheduled SPE host thread; see
-/// `portkit::recovery` for the same constant on the stub path).
-const HOST_GRACE: Duration = Duration::from_millis(25);
 
 /// Handle to one submitted request; redeem it with [`Engine::complete`].
 pub type Ticket = u64;
@@ -83,13 +80,6 @@ struct Lane {
 impl Lane {
     fn outstanding(&self) -> usize {
         self.sendq.len() + self.inflight.len()
-    }
-}
-
-fn dead_spe(spe: usize) -> CellError {
-    CellError::SpeFault {
-        spe,
-        message: "SPE died (mailboxes closed) while a dispatch was in flight".to_string(),
     }
 }
 
@@ -640,43 +630,26 @@ impl Engine {
             std::thread::yield_now();
             return Ok(());
         }
-        let mut deadline = ppe.clock.now() + self.policy.timeout_cycles;
-        let mut grace: Option<Instant> = None;
         loop {
-            // Poll for the front request's reply.
-            match self.poll_front(ppe, spe, obs)? {
-                Poll::Completed | Poll::LaneFailed => return Ok(()),
-                Poll::Empty => {}
-            }
-            if !ppe.spe_alive(spe)? {
-                // One last poll: the dying SPE may have replied before it
-                // closed its mailboxes (queued words stay readable).
-                if let Poll::Completed = self.poll_front(ppe, spe, obs)? {
+            match await_reply(ppe, spe, &self.policy)? {
+                Awaited::Reply(v) => {
+                    self.finish_front(ppe, spe, v, obs);
                     return Ok(());
                 }
-                return self.fail_over_lane(ppe, spe, obs);
-            }
-            if ppe.clock.now() < deadline {
-                ppe.charge_cycles(self.policy.poll_cost);
-            } else {
-                let started = *grace.get_or_insert_with(Instant::now);
-                if started.elapsed() >= HOST_GRACE {
-                    // Timeout. Retry in place only when the resend is
-                    // unambiguous: a single fully-delivered request.
+                Awaited::Dead => return self.fail_over_lane(ppe, spe, obs),
+                Awaited::TimedOut => {
+                    // Retry in place only when the resend is unambiguous:
+                    // a single fully-delivered request.
                     let front = self.lanes[spe].inflight.front().expect("nonempty");
                     let retryable = self.lanes[spe].inflight.len() == 1
                         && front.written == front.words.len()
                         && front.attempts + 1 < self.policy.max_attempts.max(1);
-                    if retryable {
-                        self.retry_front(ppe, spe)?;
-                        deadline = ppe.clock.now() + self.policy.timeout_cycles;
-                        grace = None;
-                    } else {
+                    if !retryable {
                         return self.fail_over_lane(ppe, spe, obs);
                     }
+                    self.retry_front(ppe, spe)?;
                 }
             }
-            std::thread::yield_now();
         }
     }
 
@@ -709,9 +682,8 @@ impl Engine {
             kernel: label,
             kind: RecoveryKind::Retry,
         });
-        // Toss the stale reply a spuriously-timed-out attempt may have
-        // left queued, then re-deliver the words.
-        self.drain_stale(ppe, spe)?;
+        // Re-deliver the words. Nothing stale can be queued: the wait
+        // timed out only after a last empty poll of an idle SPE.
         let front = self.lanes[spe].inflight.front_mut().expect("nonempty");
         front.t0 = Some(ppe.clock.now());
         let prev = ppe.tracer().current_span();
@@ -731,34 +703,6 @@ impl Engine {
         }
         ppe.tracer_mut().set_span_context(prev);
         Ok(())
-    }
-
-    fn poll_front(
-        &mut self,
-        ppe: &mut Ppe,
-        spe: usize,
-        obs: &mut dyn EngineObserver,
-    ) -> CellResult<Poll> {
-        match ppe.stat_out_mbox(spe) {
-            Ok(0) => Ok(Poll::Empty),
-            Ok(_) => match ppe.try_read_out_mbox(spe) {
-                Ok(v) => {
-                    self.finish_front(ppe, spe, v, obs);
-                    Ok(Poll::Completed)
-                }
-                Err(CellError::MailboxEmpty) => Ok(Poll::Empty),
-                Err(CellError::MailboxClosed) => {
-                    self.fail_over_lane(ppe, spe, obs)?;
-                    Ok(Poll::LaneFailed)
-                }
-                Err(e) => Err(e),
-            },
-            Err(CellError::MailboxClosed) => {
-                self.fail_over_lane(ppe, spe, obs)?;
-                Ok(Poll::LaneFailed)
-            }
-            Err(e) => Err(e),
-        }
     }
 
     // ---- failover --------------------------------------------------------
@@ -849,23 +793,12 @@ impl Engine {
 
     // ---- raw lane utilities ---------------------------------------------
 
-    /// Toss queued replies on a lane's outbound mailbox. A closed
-    /// mailbox is treated as drained — liveness is `spe_alive`'s
-    /// business, not the drain's (this is the one policy both resilient
-    /// drivers must share; they used to differ here).
+    /// Toss queued replies on a lane's outbound mailbox. A closed,
+    /// empty mailbox is drained: [`poll_reply`] decides how every
+    /// outbound mailbox reads, and liveness is `spe_alive`'s business.
     pub fn drain_stale(&mut self, ppe: &mut Ppe, spe: usize) -> CellResult<()> {
-        loop {
-            match ppe.stat_out_mbox(spe) {
-                Ok(0) => return Ok(()),
-                Ok(_) => match ppe.try_read_out_mbox(spe) {
-                    Ok(_) | Err(CellError::MailboxEmpty) => {}
-                    Err(CellError::MailboxClosed) => return Ok(()),
-                    Err(e) => return Err(e),
-                },
-                Err(CellError::MailboxClosed) => return Ok(()),
-                Err(e) => return Err(e),
-            }
-        }
+        while poll_reply(ppe, spe)?.is_some() {}
+        Ok(())
     }
 
     /// One raw supervised round trip outside the queues: drain, send,
@@ -890,50 +823,18 @@ impl Engine {
         let t0 = ppe.clock.now();
         ppe.write_in_mbox(spe, op)?;
         ppe.write_in_mbox(spe, arg)?;
-        let deadline = ppe.clock.now() + policy.timeout_cycles;
-        let mut grace: Option<Instant> = None;
-        loop {
-            match ppe.stat_out_mbox(spe) {
-                Ok(0) => {}
-                Ok(_) => match ppe.try_read_out_mbox(spe) {
-                    Ok(v) => {
-                        let now = ppe.clock.now();
-                        ppe.tracer_mut().span(
-                            EventKind::Dispatch,
-                            label,
-                            t0,
-                            now.saturating_sub(t0),
-                            spe as u64,
-                            0,
-                        );
-                        ppe.tracer_mut().count(Counter::Dispatches, 1);
-                        return Ok(v);
-                    }
-                    Err(CellError::MailboxEmpty) => {}
-                    Err(CellError::MailboxClosed) => return Err(dead_spe(spe)),
-                    Err(e) => return Err(e),
-                },
-                Err(CellError::MailboxClosed) => return Err(dead_spe(spe)),
-                Err(e) => return Err(e),
-            }
-            if !ppe.spe_alive(spe)? {
-                if let Ok(v) = ppe.try_read_out_mbox(spe) {
-                    return Ok(v);
-                }
-                return Err(dead_spe(spe));
-            }
-            if ppe.clock.now() < deadline {
-                ppe.charge_cycles(self.policy.poll_cost);
-            } else {
-                let started = *grace.get_or_insert_with(Instant::now);
-                if started.elapsed() >= HOST_GRACE {
-                    return Err(CellError::Timeout {
-                        what: "SPE kernel reply",
-                    });
-                }
-            }
-            std::thread::yield_now();
-        }
+        let v = await_reply(ppe, spe, policy)?.into_reply(spe)?;
+        let now = ppe.clock.now();
+        ppe.tracer_mut().span(
+            EventKind::Dispatch,
+            label,
+            t0,
+            now.saturating_sub(t0),
+            spe as u64,
+            0,
+        );
+        ppe.tracer_mut().count(Counter::Dispatches, 1);
+        Ok(v)
     }
 
     /// `thread_close` for one lane: command its dispatcher to exit. A
@@ -953,15 +854,6 @@ impl Engine {
         }
         Ok(())
     }
-}
-
-enum Poll {
-    /// Nothing queued yet.
-    Empty,
-    /// The lane's front request completed.
-    Completed,
-    /// The lane failed over; its requests moved or failed.
-    LaneFailed,
 }
 
 impl std::fmt::Debug for Engine {
@@ -1112,6 +1004,74 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+        let trace = ppe.take_trace();
+        assert_eq!(trace.counters.get(Counter::Retries), 1);
+        assert!(trace
+            .events
+            .iter()
+            .any(|e| e.kind == EventKind::Recovery && e.label == "retry"));
+    }
+
+    #[test]
+    fn stalled_reply_is_late_in_virtual_time_but_not_retried() {
+        // A stall only delays the reply on the virtual timeline; the host
+        // delivery is immediate, so no retry fires and the stamp is late.
+        let plan = FaultPlan::new().stall_reply(0, 1, 300_000);
+        let (_m, mut ppe, op, handles) = adder_machine(1, plan);
+        let mut eng = Engine::new(1).with_mode(FailoverMode::Replan);
+        let t0 = ppe.clock.now();
+        let t = eng.submit_to_spe(&mut ppe, 0, "add", op, 1).unwrap();
+        assert_eq!(eng.complete(&mut ppe, t).unwrap(), 8);
+        assert!(
+            ppe.clock.now() - t0 >= 300_000,
+            "stall must show up in virtual time"
+        );
+        assert!(eng.recovery_log().is_empty());
+        eng.close(&mut ppe).unwrap();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(ppe.take_trace().counters.get(Counter::Retries), 0);
+    }
+
+    #[test]
+    fn exhausted_retries_fail_a_pinned_request() {
+        // Every reply from SPE 0 is dropped: three attempts, then the
+        // lane fails over and the pinned request fails with it.
+        let plan = FaultPlan::new()
+            .drop_reply(0, 1)
+            .drop_reply(0, 2)
+            .drop_reply(0, 3);
+        let (_m, mut ppe, op, handles) = adder_machine(1, plan);
+        let mut eng = Engine::new(1)
+            .with_mode(FailoverMode::Replan)
+            .with_policy(RetryPolicy {
+                timeout_cycles: 200_000,
+                ..RetryPolicy::default()
+            });
+        let t = eng.submit_to_spe(&mut ppe, 0, "add", op, 5).unwrap();
+        let err = eng.complete(&mut ppe, t).unwrap_err();
+        assert!(matches!(err, CellError::SpeFault { spe: 0, .. }), "{err}");
+        let kinds: Vec<RecoveryKind> = eng.recovery_log().iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                RecoveryKind::Retry,
+                RecoveryKind::Retry,
+                RecoveryKind::Failover
+            ]
+        );
+        // The SPE itself is healthy (it only lost replies): it exits
+        // cleanly on close.
+        eng.close(&mut ppe).unwrap();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(
+            ppe.take_trace().counters.get(Counter::Retries),
+            2,
+            "3 attempts = 2 retries"
+        );
     }
 
     #[test]
@@ -1135,7 +1095,7 @@ mod tests {
 
     #[test]
     fn probe_roundtrips_and_times_out() {
-        let (_m, mut ppe, op, handles) = adder_machine(1, FaultPlan::new());
+        let (_m, mut ppe, op, handles) = adder_machine(1, FaultPlan::new().drop_reply(0, 2));
         let mut eng = Engine::new(1).with_mode(FailoverMode::Replan);
         let v = eng
             .probe(
@@ -1148,6 +1108,17 @@ mod tests {
             )
             .unwrap();
         assert_eq!(v, 42);
+        // The dropped reply times out under the probe's own policy, poll
+        // cost included: a 10k-cycle deadline at 7k cycles per empty
+        // poll is two polls after the two 50-cycle sends.
+        let policy = RetryPolicy {
+            poll_cost: 7_000,
+            ..RetryPolicy::no_retry(10_000)
+        };
+        let t0 = ppe.clock.now();
+        let err = eng.probe(&mut ppe, 0, "probe", op, 1, &policy).unwrap_err();
+        assert!(matches!(err, CellError::Timeout { .. }), "{err}");
+        assert_eq!(ppe.clock.now() - t0, 2 * 50 + 2 * 7_000);
         eng.close(&mut ppe).unwrap();
         for h in handles {
             h.join().unwrap();

@@ -21,7 +21,10 @@
 //! * **Pluggable policies** ([`policy`]) — `RetryPolicy` timeouts,
 //!   `Schedule::replan` failover, and observer hooks for supervision
 //!   layers (circuit breakers, heartbeats) are configuration, not four
-//!   divergent copies of the same loop.
+//!   divergent copies of the same loop. Lane completion and probes
+//!   wait through `portkit::recovery::await_reply`, the one reply wait
+//!   with a deadline, which times out only an idle SPE; the engine's
+//!   retry-in-place is the one retry/backoff ladder.
 //!
 //! Mailbox FIFO ordering is the engine's correctness backbone: each
 //! lane completes requests in submission order, so the reply word on a

@@ -11,9 +11,9 @@
 //!   scales the 10-bit immediate by 16);
 //! * `rotmi(rt, ra, n)` takes the *positive* right-shift count and
 //!   encodes the SPU's negated immediate;
-//! * branch emitters take a label; the 16-bit immediate is the
-//!   word-relative offset resolved at assembly time;
-//! * `ila` of a label takes the label's absolute byte address.
+//! * branch emitters and `lqr` take a label; the 16-bit immediate is
+//!   the word-relative offset resolved at assembly time, so an image
+//!   runs unchanged at any code base.
 
 use std::collections::HashMap;
 
@@ -42,10 +42,8 @@ impl IsaImage {
 }
 
 enum Fixup {
-    /// Patch a 16-bit word-relative branch offset.
+    /// Patch a 16-bit word-relative offset (branches, `lqr`).
     Rel16 { word: usize, label: &'static str },
-    /// Patch an 18-bit absolute byte address (`ila`).
-    Abs18 { word: usize, label: &'static str },
 }
 
 /// Label-resolving assembler over the [`crate::inst`] encoder.
@@ -161,6 +159,11 @@ impl Assembler {
         self.ri(Op::Lqd, rt, ra, qoff);
     }
 
+    /// PC-relative quadword load of the data at `label`.
+    pub fn lqr(&mut self, rt: u8, label: &'static str) {
+        self.label_ref(Op::Lqr, rt, label);
+    }
+
     pub fn stqd(&mut self, rt: u8, ra: u8, qoff: i32) {
         self.ri(Op::Stqd, rt, ra, qoff);
     }
@@ -211,7 +214,7 @@ impl Assembler {
 
     // ---- branches and label references ----------------------------------
 
-    fn branch_to(&mut self, op: Op, rt: u8, label: &'static str) {
+    fn label_ref(&mut self, op: Op, rt: u8, label: &'static str) {
         self.fixups.push(Fixup::Rel16 {
             word: self.words.len(),
             label,
@@ -220,24 +223,15 @@ impl Assembler {
     }
 
     pub fn br(&mut self, label: &'static str) {
-        self.branch_to(Op::Br, 0, label);
+        self.label_ref(Op::Br, 0, label);
     }
 
     pub fn brz(&mut self, rt: u8, label: &'static str) {
-        self.branch_to(Op::Brz, rt, label);
+        self.label_ref(Op::Brz, rt, label);
     }
 
     pub fn brnz(&mut self, rt: u8, label: &'static str) {
-        self.branch_to(Op::Brnz, rt, label);
-    }
-
-    /// `ila rt, label`: load a label's absolute byte address.
-    pub fn ila_label(&mut self, rt: u8, label: &'static str) {
-        self.fixups.push(Fixup::Abs18 {
-            word: self.words.len(),
-            label,
-        });
-        self.emit(Inst::ri(Op::Ila, rt, 0, 0));
+        self.label_ref(Op::Brnz, rt, label);
     }
 
     pub fn ila(&mut self, rt: u8, addr: i32) {
@@ -270,17 +264,11 @@ impl Assembler {
                     let rel_words = (i64::from(target) - pc) / 4;
                     if !(-32768..=32767).contains(&rel_words) {
                         return Err(CellError::BadKernelSpec {
-                            message: format!("branch to `{label}` out of 16-bit range"),
+                            message: format!("reference to `{label}` out of 16-bit range"),
                         });
                     }
                     let mut inst = crate::inst::decode(self.words[word]).expect("own encoding");
                     inst.imm = rel_words as i32;
-                    self.words[word] = encode(&inst);
-                }
-                Fixup::Abs18 { word, label } => {
-                    let target = *self.labels.get(label).ok_or_else(|| bad_label(label))?;
-                    let mut inst = crate::inst::decode(self.words[word]).expect("own encoding");
-                    inst.imm = target as i32;
                     self.words[word] = encode(&inst);
                 }
             }

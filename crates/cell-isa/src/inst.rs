@@ -129,6 +129,7 @@ ops! {
     Br      => ("br",      Form::Ri16, Pipe::Odd,  0x064),
     Brz     => ("brz",     Form::Ri16, Pipe::Odd,  0x040),
     Brnz    => ("brnz",    Form::Ri16, Pipe::Odd,  0x042),
+    Lqr     => ("lqr",     Form::Ri16, Pipe::Odd,  0x067),
     // ---- RI18: op(7) i18 rt ---------------------------------------------
     Ila     => ("ila",     Form::Ri18, Pipe::Even, 0x21),
     // ---- RRR: op(4) rt rb ra rc -----------------------------------------

@@ -532,11 +532,12 @@ impl Interpreter {
                 }
 
                 // ---- local store ---------------------------------------
-                Op::Lqd | Op::Lqx => {
-                    let raw = if inst.op == Op::Lqd {
-                        self.pref(ra).wrapping_add((imm as u32).wrapping_mul(16))
-                    } else {
-                        self.pref(ra).wrapping_add(self.pref(rb))
+                Op::Lqd | Op::Lqx | Op::Lqr => {
+                    let raw = match inst.op {
+                        Op::Lqd => self.pref(ra).wrapping_add((imm as u32).wrapping_mul(16)),
+                        Op::Lqx => self.pref(ra).wrapping_add(self.pref(rb)),
+                        // PC-relative: `imm` is a signed word offset.
+                        _ => self.pc.wrapping_add((imm as u32).wrapping_mul(4)),
                     };
                     let addr = self.ls_addr(raw, capacity);
                     let mut buf = [0u8; 16];

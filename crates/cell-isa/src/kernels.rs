@@ -302,14 +302,10 @@ pub fn build_jacobi_kernel() -> CellResult<IsaImage> {
     a.ai(43, 43, -1);
     a.brnz(43, "copyl");
     // Load the shuffle patterns and the 0.25 splat.
-    a.ila_label(60, "patl");
-    a.lqd(60, 60, 0);
-    a.ila_label(61, "patr");
-    a.lqd(61, 61, 0);
-    a.ila_label(62, "fix0");
-    a.lqd(62, 62, 0);
-    a.ila_label(63, "fixl");
-    a.lqd(63, 63, 0);
+    a.lqr(60, "patl");
+    a.lqr(61, "patr");
+    a.lqr(62, "fix0");
+    a.lqr(63, "fixl");
     a.ilhu(64, 0x3E80); // 0.25f32 in every lane
                         // Row pointers: up, cur, down in the input; out in the output.
     a.ila(70, IN_LS as i32);

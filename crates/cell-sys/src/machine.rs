@@ -84,6 +84,16 @@ impl SpeHandle {
     }
 }
 
+/// Closes an SPE's mailboxes when its host thread leaves the program,
+/// by return or by unwinding from a panic.
+struct CloseOnExit(MailboxPair);
+
+impl Drop for CloseOnExit {
+    fn drop(&mut self) {
+        self.0.close_all();
+    }
+}
+
 struct SpeSlot {
     mailboxes: MailboxPair,
     signal1: Arc<SignalRegister>,
@@ -285,17 +295,16 @@ impl CellMachine {
         env.charge_cycles(Cycles(20_000).get());
 
         let name = program.name();
-        // If the program dies (injected crash, unknown opcode, panic in the
-        // kernel body converted to Err), close its mailboxes so the PPE side
-        // observes a dead SPE promptly instead of timing out.
-        let fault_mailboxes = slot.mailboxes.clone();
+        // However the program stops — an Err (injected crash, unknown
+        // opcode), a panic in the kernel body, or a plain return — close
+        // its mailboxes on the way out, so the PPE side observes a dead SPE
+        // at once instead of waiting on a thread that can no longer reply.
+        let exit_guard = CloseOnExit(slot.mailboxes.clone());
         let join = std::thread::Builder::new()
             .name(format!("spe{spe_id}-{name}"))
             .spawn(move || {
+                let _exit_guard = exit_guard;
                 let result = program.run(&mut env);
-                if result.is_err() {
-                    fault_mailboxes.close_all();
-                }
                 env.into_report(result.err().map(|e| e.to_string()))
             })
             .map_err(|e| CellError::SpeFault {
@@ -582,6 +591,24 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_stopped_program_reads_as_dead_however_it_stopped() {
+        fn bomb(_env: &mut SpeEnv) -> CellResult<()> {
+            panic!("kernel bug");
+        }
+        fn quits(_env: &mut SpeEnv) -> CellResult<()> {
+            Ok(())
+        }
+        let mut m = small_machine();
+        let ppe = m.ppe();
+        let panicked = m.spawn(0, Box::new(bomb)).unwrap();
+        let returned = m.spawn(1, Box::new(quits)).unwrap();
+        panicked.join().unwrap_err();
+        returned.join().unwrap();
+        assert!(!ppe.spe_alive(0).unwrap(), "a panic closes the mailboxes");
+        assert!(!ppe.spe_alive(1).unwrap(), "a plain return closes them too");
     }
 
     #[test]

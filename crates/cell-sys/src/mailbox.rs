@@ -13,7 +13,10 @@
 //!   3.2 GHz core cycles), so the receiver's virtual clock can be advanced
 //!   past it — cross-core causality in simulated time;
 //! * a mailbox can be **closed** (its SPE terminated); blocked peers wake
-//!   with [`CellError::MailboxClosed`] instead of deadlocking.
+//!   with [`CellError::MailboxClosed`] instead of deadlocking;
+//! * a reader blocked on an empty mailbox is counted as **parked**, so the
+//!   PPE can tell an SPE that waits for its next request (and so cannot
+//!   reply without new input) from one still busy computing.
 
 use std::collections::VecDeque;
 
@@ -38,6 +41,8 @@ struct Inner {
     /// respawned occupant's conversation is never matched against the
     /// previous incarnation's words.
     generation: u64,
+    /// Readers blocked in [`Mailbox::read`] waiting for a word.
+    parked: usize,
 }
 
 /// One direction of mailbox traffic with a fixed capacity.
@@ -57,6 +62,7 @@ impl Mailbox {
                 capacity,
                 closed: false,
                 generation: 0,
+                parked: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -107,7 +113,9 @@ impl Mailbox {
             if g.closed {
                 return Err(CellError::MailboxClosed);
             }
+            g.parked += 1;
             g = self.not_empty.wait(g).unwrap();
+            g.parked -= 1;
         }
     }
 
@@ -143,6 +151,15 @@ impl Mailbox {
 
     pub fn is_closed(&self) -> bool {
         self.inner.lock().unwrap().closed
+    }
+
+    /// Is a reader parked in [`Mailbox::read`] with nothing to read? Such
+    /// a reader cannot make progress until a word is queued or the
+    /// mailbox closes, so either of those clears the answer at once —
+    /// before the woken reader has even run.
+    pub fn reader_parked(&self) -> bool {
+        let g = self.inner.lock().unwrap();
+        g.parked > 0 && g.queue.is_empty() && !g.closed
     }
 
     /// Reopen a closed mailbox for a respawned SPE: the closed flag is
@@ -290,6 +307,34 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         mb.close();
         assert_eq!(h.join().unwrap().unwrap_err(), CellError::MailboxClosed);
+    }
+
+    #[test]
+    fn blocked_reader_reads_as_parked_until_a_word_or_close() {
+        fn wait_parked(mb: &Mailbox) {
+            while !mb.reader_parked() {
+                thread::yield_now();
+            }
+        }
+        let mb = Mailbox::new(4);
+        assert!(!mb.reader_parked(), "no reader yet");
+        let mb2 = Arc::clone(&mb);
+        let (go, next) = std::sync::mpsc::channel::<()>();
+        let h = thread::spawn(move || {
+            let first = mb2.read();
+            next.recv().unwrap();
+            (first, mb2.read())
+        });
+        wait_parked(&mb);
+        mb.write(1, 0).unwrap();
+        assert!(!mb.reader_parked(), "a queued word clears it");
+        go.send(()).unwrap();
+        wait_parked(&mb);
+        mb.close();
+        assert!(!mb.reader_parked(), "a close clears it");
+        let (first, second) = h.join().unwrap();
+        assert_eq!(first.unwrap().value, 1);
+        assert_eq!(second.unwrap_err(), CellError::MailboxClosed);
     }
 
     #[test]

@@ -202,13 +202,23 @@ impl Ppe {
         Ok(self.mailboxes[spe].outbound.count())
     }
 
-    /// Is the SPE's mailbox fabric still open? A program that died (crash,
-    /// injected fault, machine shutdown) closes its mailboxes on the way
-    /// out, so this is the PPE's cheap liveness probe — resilience layers
-    /// poll it instead of waiting for a full virtual-time timeout.
+    /// Is the SPE's mailbox fabric still open? A program closes its
+    /// mailboxes on the way out however it stops (return, crash, injected
+    /// fault, panic, machine shutdown), so this is the PPE's cheap
+    /// liveness probe — resilience layers poll it instead of waiting for
+    /// a full virtual-time timeout.
     pub fn spe_alive(&self, spe: usize) -> CellResult<bool> {
         self.check_spe(spe)?;
         Ok(!self.mailboxes[spe].inbound.is_closed())
+    }
+
+    /// Is the SPE idle — its program parked on an empty inbound mailbox?
+    /// An idle SPE cannot reply without new input, so a reply wait past
+    /// its deadline may give up on it; a busy one (however slow its host
+    /// thread) is still computing a reply and is waited for.
+    pub fn spe_idle(&self, spe: usize) -> CellResult<bool> {
+        self.check_spe(spe)?;
+        Ok(self.mailboxes[spe].inbound.reader_parked())
     }
 
     /// `spe_read_out_mbox` after a successful poll: blocking read from the

@@ -17,6 +17,7 @@ use cell_sys::ppe::Ppe;
 use cell_trace::{Counter, EventKind};
 
 use crate::opcodes::SPU_EXIT;
+use crate::recovery::poll_reply;
 
 /// How the PPE learns about kernel completion (paper §3.5 step 6: "either
 /// by polling or by an interrupt").
@@ -59,7 +60,7 @@ impl SpeInterface {
     }
 
     /// Record the completed send→reply round trip on the PPE trace.
-    fn record_dispatch(&mut self, ppe: &mut Ppe) {
+    pub(crate) fn record_dispatch(&mut self, ppe: &mut Ppe) {
         if let Some(t0) = self.inflight.take() {
             let dur = ppe.clock.now().saturating_sub(t0);
             ppe.tracer_mut().span(
@@ -103,7 +104,8 @@ impl SpeInterface {
     }
 
     /// `Wait`: block until the kernel reports completion; returns its
-    /// result word.
+    /// result word. Listing 2's `Wait(timeout)` is
+    /// [`SpeInterface::wait_for`].
     pub fn wait(&mut self, ppe: &mut Ppe) -> CellResult<u32> {
         let result = match self.reply_mode {
             ReplyMode::Polling => {
@@ -128,37 +130,11 @@ impl SpeInterface {
                 message: "poll() requires ReplyMode::Polling".to_string(),
             });
         }
-        if ppe.stat_out_mbox(self.spe_id)? == 0 {
-            return Ok(None);
+        let reply = poll_reply(ppe, self.spe_id)?;
+        if reply.is_some() {
+            self.record_dispatch(ppe);
         }
-        let v = ppe.try_read_out_mbox(self.spe_id)?;
-        self.record_dispatch(ppe);
-        Ok(Some(v))
-    }
-
-    /// `Wait(timeout)` from paper Listing 2: poll for completion for at
-    /// most `timeout` of host time; `Err(Timeout)` if the kernel has not
-    /// replied by then. (The deadline is host time because a kernel that
-    /// never replies never advances virtual time either — a virtual
-    /// deadline could not fire.)
-    pub fn wait_timeout(&mut self, ppe: &mut Ppe, timeout: std::time::Duration) -> CellResult<u32> {
-        if self.reply_mode != ReplyMode::Polling {
-            return Err(CellError::BadKernelSpec {
-                message: "wait_timeout() requires ReplyMode::Polling".to_string(),
-            });
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if let Some(v) = self.poll(ppe)? {
-                return Ok(v);
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(CellError::Timeout {
-                    what: "SPE kernel completion",
-                });
-            }
-            std::thread::yield_now();
-        }
+        Ok(reply)
     }
 
     /// `SendAndWait`: the full Listing 3 protocol.
@@ -265,24 +241,6 @@ mod tests {
             }
             std::thread::yield_now();
         }
-        iface.close(&mut ppe).unwrap();
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn wait_timeout_succeeds_and_times_out() {
-        let (_m, mut ppe, mut iface, op, h) = adder_machine(ReplyMode::Polling);
-        // Normal completion beats a generous deadline.
-        iface.send(&mut ppe, op, 3).unwrap();
-        let v = iface
-            .wait_timeout(&mut ppe, std::time::Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(v, 10);
-        // No outstanding call → nothing ever arrives → timeout.
-        let err = iface
-            .wait_timeout(&mut ppe, std::time::Duration::from_millis(30))
-            .unwrap_err();
-        assert!(matches!(err, cell_core::CellError::Timeout { .. }));
         iface.close(&mut ppe).unwrap();
         h.join().unwrap();
     }

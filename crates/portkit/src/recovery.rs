@@ -1,41 +1,39 @@
-//! Resilient dispatch: timeouts, bounded-backoff retry, and dead-SPE
-//! detection on top of the Listing-2/3 stub.
+//! Resilient dispatch: the one reply wait with a deadline, and dead-SPE
+//! detection, on top of the Listing-2/3 stub.
 //!
 //! The paper's protocol assumes the SPE side never dies; chaos testing
 //! (the `cell-fault` crate) breaks that assumption on purpose. This module
-//! gives the PPE-side stub three defenses:
+//! gives every PPE-side wait — the stub's `Wait(timeout)` here and the
+//! `cell-engine` lanes and probes — one loop, [`await_reply`]:
 //!
-//! * [`SpeInterface::wait_for`] — a *virtual-time* deadline on the reply
-//!   poll loop. Each empty poll charges PPE cycles, so a dropped reply
-//!   surfaces as [`CellError::Timeout`] after `timeout_cycles` of
-//!   simulated waiting instead of spinning forever.
-//! * [`SpeInterface::send_and_wait_resilient`] — retry with bounded
-//!   exponential backoff for **idempotent** kernels (the paper's kernels
-//!   are pure functions over wrapped inputs, so re-dispatching the same
-//!   opcode and wrapper address is safe).
-//! * dead-SPE detection — a program that faults closes its mailboxes on
-//!   the way out, and [`cell_sys::ppe::Ppe::spe_alive`] sees that
-//!   immediately; the stub converts it to a [`CellError::SpeFault`] the
-//!   scheduler can failover on (see [`crate::schedule::Schedule::replan`]).
+//! * a *virtual-time* deadline: each empty poll of the outbound mailbox
+//!   charges `poll_cost` PPE cycles until `timeout_cycles` have been
+//!   burned;
+//! * the **idle rule**: past the deadline the wait gives up only once the
+//!   SPE is idle — its program parked on an empty inbound mailbox
+//!   ([`cell_sys::ppe::Ppe::spe_idle`]), so it cannot reply without new
+//!   input. A dropped reply, a swallowed opcode or a hung SPE all end
+//!   parked and surface as [`Awaited::TimedOut`]; a kernel whose host
+//!   thread merely runs slowly is waited for. This assumes every SPE
+//!   program blocks only on its inbound mailbox;
+//! * dead-SPE detection: a program closes its mailboxes on the way out,
+//!   however it stops (a fault, a panic, a return without a reply), and
+//!   [`cell_sys::ppe::Ppe::spe_alive`] sees that immediately
+//!   ([`Awaited::Dead`]), so the caller can fail over (see
+//!   [`crate::schedule::Schedule::replan`]) without waiting out the
+//!   deadline.
 //!
-//! Every retry emits a [`cell_trace`] `Recovery` span and bumps the
-//! `Retries` counter, so a chaos run's trace tells the whole story.
-
-use std::time::{Duration, Instant};
+//! Retrying a timed-out dispatch is the caller's business: `cell-engine`
+//! holds the one retry/backoff ladder, driven by [`RetryPolicy`].
 
 use cell_core::{CellError, CellResult};
 use cell_sys::ppe::Ppe;
-use cell_trace::{Counter, EventKind};
 
-use crate::interface::SpeInterface;
+use crate::interface::{ReplyMode, SpeInterface};
 
-/// Host-time grace period after the virtual deadline expires. The virtual
-/// clock can outrun a descheduled SPE host thread; waiting a little real
-/// time before declaring a timeout keeps spurious retries (harmless for
-/// idempotent kernels, but noisy) to scheduler-starvation cases only.
-const HOST_GRACE: Duration = Duration::from_millis(25);
-
-/// Retry discipline for one stub's dispatches.
+/// Timeout and retry discipline for PPE-side dispatches: [`await_reply`]
+/// waits under the deadline and poll cost, `cell-engine` retries under
+/// the attempt and backoff budget.
 ///
 /// All costs are in 3.2 GHz core cycles. The defaults suit MARVEL-sized
 /// kernels: a 2 M-cycle (~0.6 ms virtual) reply deadline, three attempts,
@@ -92,102 +90,96 @@ impl RetryPolicy {
     }
 }
 
-fn dead_spe(spe: usize) -> CellError {
+/// How one [`await_reply`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Awaited {
+    /// The SPE's reply word.
+    Reply(u32),
+    /// The SPE's mailboxes closed with no reply queued.
+    Dead,
+    /// The deadline passed and the SPE sat idle with no reply queued.
+    TimedOut,
+}
+
+impl Awaited {
+    /// The reply word, or the error a caller without a retry ladder of
+    /// its own reports: [`CellError::SpeFault`] for a dead SPE,
+    /// [`CellError::Timeout`] for a silent one.
+    pub fn into_reply(self, spe: usize) -> CellResult<u32> {
+        match self {
+            Awaited::Reply(v) => Ok(v),
+            Awaited::Dead => Err(dead_spe(spe)),
+            Awaited::TimedOut => Err(CellError::Timeout {
+                what: "SPE kernel reply",
+            }),
+        }
+    }
+}
+
+/// The error for a dispatch whose SPE died before replying.
+pub fn dead_spe(spe: usize) -> CellError {
     CellError::SpeFault {
         spe,
         message: "SPE died (mailboxes closed) while a dispatch was in flight".to_string(),
     }
 }
 
-impl SpeInterface {
-    /// Poll for the in-flight call's reply under a virtual-time deadline.
-    ///
-    /// Requires `ReplyMode::Polling`. Each empty poll charges
-    /// `policy.poll_cost` PPE cycles until `policy.timeout_cycles` have
-    /// been burned, then returns [`CellError::Timeout`]. A dead SPE is
-    /// reported as [`CellError::SpeFault`] as soon as its closed mailboxes
-    /// are observed — no need to wait out the deadline.
-    pub fn wait_for(&mut self, ppe: &mut Ppe, policy: &RetryPolicy) -> CellResult<u32> {
-        let deadline = ppe.clock.now() + policy.timeout_cycles;
-        let mut grace: Option<Instant> = None;
-        loop {
-            match self.poll(ppe) {
-                Ok(Some(v)) => return Ok(v),
-                Ok(None) => {}
-                Err(CellError::MailboxClosed) => return Err(dead_spe(self.spe_id())),
-                Err(e) => return Err(e),
-            }
-            if !ppe.spe_alive(self.spe_id())? {
-                // One last poll: the dying SPE may have replied before it
-                // closed its mailboxes (queued words stay readable).
-                if let Ok(Some(v)) = self.poll(ppe) {
-                    return Ok(v);
-                }
-                return Err(dead_spe(self.spe_id()));
-            }
-            if ppe.clock.now() < deadline {
-                ppe.charge_cycles(policy.poll_cost);
-            } else {
-                // Virtual deadline passed; give the host thread a moment
-                // before declaring the reply lost.
-                let started = *grace.get_or_insert_with(Instant::now);
-                if started.elapsed() >= HOST_GRACE {
-                    return Err(CellError::Timeout {
-                        what: "SPE kernel reply",
-                    });
-                }
-            }
-            std::thread::yield_now();
+/// Wait for the next word on `spe`'s outbound mailbox under `policy`'s
+/// virtual deadline and the idle rule (see the module docs). Every
+/// reply-with-deadline wait in the workspace goes through here.
+pub fn await_reply(ppe: &mut Ppe, spe: usize, policy: &RetryPolicy) -> CellResult<Awaited> {
+    let deadline = ppe.clock.now() + policy.timeout_cycles;
+    loop {
+        if let Some(v) = poll_reply(ppe, spe)? {
+            return Ok(Awaited::Reply(v));
         }
+        if !ppe.spe_alive(spe)? {
+            // One last poll: the dying SPE may have replied before it
+            // closed its mailboxes (queued words stay readable).
+            return Ok(poll_reply(ppe, spe)?.map_or(Awaited::Dead, Awaited::Reply));
+        }
+        if ppe.clock.now() < deadline {
+            ppe.charge_cycles(policy.poll_cost);
+        } else if ppe.spe_idle(spe)? {
+            // One last poll closes the race with an SPE that replied
+            // between the poll above and parking on its next read.
+            return Ok(poll_reply(ppe, spe)?.map_or(Awaited::TimedOut, Awaited::Reply));
+        }
+        std::thread::yield_now();
     }
+}
 
-    /// The Listing-3 round trip with timeout + bounded-backoff retry.
+/// Take the outbound mailbox's next word, if one is queued. A closed,
+/// empty mailbox reads as empty: liveness is `spe_alive`'s business.
+/// Every non-blocking read of a reply in the workspace goes through here.
+pub fn poll_reply(ppe: &mut Ppe, spe: usize) -> CellResult<Option<u32>> {
+    if ppe.stat_out_mbox(spe)? == 0 {
+        return Ok(None);
+    }
+    match ppe.try_read_out_mbox(spe) {
+        Ok(v) => Ok(Some(v)),
+        Err(CellError::MailboxEmpty | CellError::MailboxClosed) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+impl SpeInterface {
+    /// `Wait(timeout)` from paper Listing 2: wait for the in-flight
+    /// call's reply through [`await_reply`].
     ///
-    /// Only safe for **idempotent** dispatches: on timeout the same opcode
-    /// and argument are re-sent, so a kernel whose reply was merely lost
-    /// recomputes the same value. Retries are traced (`Recovery` span,
-    /// `Retries` counter). Returns the last error when attempts are
-    /// exhausted; a dead SPE short-circuits immediately.
-    pub fn send_and_wait_resilient(
-        &mut self,
-        ppe: &mut Ppe,
-        policy: &RetryPolicy,
-        function_call: u32,
-        value: u32,
-    ) -> CellResult<u32> {
-        let spe = self.spe_id();
-        let mut attempt: u32 = 0;
-        loop {
-            // Toss stale replies a previous (spuriously timed-out) attempt
-            // may have left queued, so request/reply stay in lock-step.
-            while ppe.stat_out_mbox(spe)? > 0 {
-                let _ = ppe.try_read_out_mbox(spe)?;
-            }
-            match self.send(ppe, function_call, value) {
-                Ok(()) => {}
-                Err(CellError::MailboxClosed) => return Err(dead_spe(spe)),
-                Err(e) => return Err(e),
-            }
-            match self.wait_for(ppe, policy) {
-                Ok(v) => return Ok(v),
-                Err(CellError::Timeout { .. }) if attempt + 1 < policy.max_attempts.max(1) => {
-                    attempt += 1;
-                    let backoff = policy.backoff(attempt);
-                    let now = ppe.clock.now();
-                    ppe.tracer_mut().span(
-                        EventKind::Recovery,
-                        "retry",
-                        now,
-                        backoff,
-                        spe as u64,
-                        attempt as u64,
-                    );
-                    ppe.tracer_mut().count(Counter::Retries, 1);
-                    ppe.charge_cycles(backoff);
-                }
-                Err(e) => return Err(e),
-            }
+    /// Requires `ReplyMode::Polling`. An idle SPE with no reply past
+    /// `policy.timeout_cycles` is [`CellError::Timeout`]; a dead SPE is
+    /// [`CellError::SpeFault`] as soon as its closed mailboxes are
+    /// observed. Never retries: re-dispatch is `cell-engine`'s job.
+    pub fn wait_for(&mut self, ppe: &mut Ppe, policy: &RetryPolicy) -> CellResult<u32> {
+        if self.reply_mode() != ReplyMode::Polling {
+            return Err(CellError::BadKernelSpec {
+                message: "wait_for() requires ReplyMode::Polling".to_string(),
+            });
         }
+        let v = await_reply(ppe, self.spe_id(), policy)?.into_reply(self.spe_id())?;
+        self.record_dispatch(ppe);
+        Ok(v)
     }
 }
 
@@ -265,11 +257,11 @@ mod tests {
         assert_eq!(ledger.len(), 2);
     }
     use crate::dispatcher::KernelDispatcher;
-    use crate::interface::ReplyMode;
     use cell_core::MachineConfig;
     use cell_fault::FaultPlan;
     use cell_sys::machine::{CellMachine, SpeHandle};
-    use cell_trace::TraceConfig;
+    use cell_sys::spe::spe_fault;
+    use cell_trace::{Counter, TraceConfig};
 
     fn machine_with_plan(plan: FaultPlan) -> (CellMachine, Ppe, SpeInterface, u32, SpeHandle) {
         let mut m = CellMachine::new(MachineConfig::small()).unwrap();
@@ -321,127 +313,48 @@ mod tests {
     }
 
     #[test]
-    fn resilient_path_is_transparent_without_faults() {
-        let (_m, mut ppe, mut iface, op, h) = machine_with_plan(FaultPlan::new());
-        let policy = RetryPolicy::default();
-        for i in 0..4u32 {
-            assert_eq!(
-                iface
-                    .send_and_wait_resilient(&mut ppe, &policy, op, 10 * i)
-                    .unwrap(),
-                10 * i + 7
-            );
-        }
-        iface.close(&mut ppe).unwrap();
-        h.join().unwrap();
-        let trace = ppe.take_trace();
-        assert_eq!(trace.counters.get(Counter::Retries), 0);
-    }
-
-    #[test]
-    fn dropped_reply_is_retried_and_recovered() {
-        // The second reply out of SPE 0 is dropped; the stub must time
-        // out, re-send, and still produce the right answer.
+    fn wait_for_returns_replies_and_times_out_on_a_dropped_one() {
+        // The second reply out of SPE 0 is dropped: the dispatcher parks
+        // on its next read, so the wait ends at the virtual deadline.
         let (_m, mut ppe, mut iface, op, h) = machine_with_plan(FaultPlan::new().drop_reply(0, 2));
-        let policy = RetryPolicy {
-            timeout_cycles: 500_000,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(
-            iface
-                .send_and_wait_resilient(&mut ppe, &policy, op, 1)
-                .unwrap(),
-            8
-        );
-        assert_eq!(
-            iface
-                .send_and_wait_resilient(&mut ppe, &policy, op, 2)
-                .unwrap(),
-            9,
-            "retry must recover the dropped reply"
-        );
+        let policy = RetryPolicy::no_retry(200_000);
+        iface.send(&mut ppe, op, 1).unwrap();
+        assert_eq!(iface.wait_for(&mut ppe, &policy).unwrap(), 8);
+        iface.send(&mut ppe, op, 2).unwrap();
+        let t0 = ppe.clock.now();
+        let err = iface.wait_for(&mut ppe, &policy).unwrap_err();
+        assert!(matches!(err, CellError::Timeout { .. }), "{err}");
+        assert!(ppe.clock.now() - t0 >= policy.timeout_cycles);
         iface.close(&mut ppe).unwrap();
-        let report = h.join().unwrap();
         assert_eq!(
-            report.trace.counters.get(Counter::FaultsInjected),
-            1,
-            "the drop fired on the SPE side"
+            h.join()
+                .unwrap()
+                .trace
+                .counters
+                .get(Counter::FaultsInjected),
+            1
         );
-        let trace = ppe.take_trace();
-        assert!(trace.counters.get(Counter::Retries) >= 1);
-        assert!(trace
-            .events
-            .iter()
-            .any(|e| e.kind == EventKind::Recovery && e.label == "retry"));
+        assert_eq!(ppe.take_trace().counters.get(Counter::Dispatches), 1);
     }
 
     #[test]
-    fn crashed_spe_is_detected_as_dead_not_timeout() {
-        // SPE 0 crashes on its third inbound read (the second request's
-        // opcode): the in-flight dispatch must fail fast with SpeFault.
-        let (_m, mut ppe, mut iface, op, h) = machine_with_plan(FaultPlan::new().crash_spe(0, 3));
-        let policy = RetryPolicy::default();
-        assert_eq!(
-            iface
-                .send_and_wait_resilient(&mut ppe, &policy, op, 1)
-                .unwrap(),
-            8
-        );
+    fn wait_for_reports_a_dead_spe_as_a_fault_not_a_timeout() {
+        let mut m = CellMachine::new(MachineConfig::small()).unwrap();
+        let mut ppe = m.ppe();
+        let mut d = KernelDispatcher::new("doomed", ReplyMode::Polling);
+        let op = d.register("die", |env, _| Err(spe_fault(env.spe_id(), "kernel died")));
+        let h = m.spawn(0, Box::new(d)).unwrap();
+        let mut iface = SpeInterface::new("doomed", 0, ReplyMode::Polling);
+        iface.send(&mut ppe, op, 0).unwrap();
+        let t0 = ppe.clock.now();
         let err = iface
-            .send_and_wait_resilient(&mut ppe, &policy, op, 2)
+            .wait_for(&mut ppe, &RetryPolicy::default())
             .unwrap_err();
         assert!(matches!(err, CellError::SpeFault { spe: 0, .. }), "{err}");
-        let report = h.join_report().unwrap();
-        assert!(report.fault.unwrap().contains("injected fault"));
-    }
-
-    #[test]
-    fn exhausted_retries_surface_timeout() {
-        // Every reply from SPE 0 is dropped: three attempts, then Timeout.
-        let plan = FaultPlan::new()
-            .drop_reply(0, 1)
-            .drop_reply(0, 2)
-            .drop_reply(0, 3);
-        let (_m, mut ppe, mut iface, op, h) = machine_with_plan(plan);
-        let policy = RetryPolicy {
-            timeout_cycles: 200_000,
-            ..RetryPolicy::default()
-        };
-        let err = iface
-            .send_and_wait_resilient(&mut ppe, &policy, op, 5)
-            .unwrap_err();
-        assert!(matches!(err, CellError::Timeout { .. }), "{err}");
-        let trace = ppe.take_trace();
-        assert_eq!(
-            trace.counters.get(Counter::Retries),
-            2,
-            "3 attempts = 2 retries"
-        );
-        iface.close(&mut ppe).unwrap();
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn stalled_reply_is_late_in_virtual_time_but_not_lost() {
-        // A stall only delays the reply on the virtual timeline; the host
-        // delivery is immediate, so no retry fires and the stamp is late.
-        let (_m, mut ppe, mut iface, op, h) =
-            machine_with_plan(FaultPlan::new().stall_reply(0, 1, 300_000));
-        let policy = RetryPolicy::default();
-        let t0 = ppe.clock.now();
-        assert_eq!(
-            iface
-                .send_and_wait_resilient(&mut ppe, &policy, op, 1)
-                .unwrap(),
-            8
-        );
         assert!(
-            ppe.clock.now() - t0 >= 300_000,
-            "stall must show up in virtual time"
+            ppe.clock.now() - t0 < RetryPolicy::default().timeout_cycles,
+            "a dead SPE must not wait out the deadline"
         );
-        let trace = ppe.take_trace();
-        assert_eq!(trace.counters.get(Counter::Retries), 0);
-        iface.close(&mut ppe).unwrap();
-        h.join().unwrap();
+        assert!(h.join_report().unwrap().fault.is_some());
     }
 }

@@ -17,6 +17,8 @@ use cell_sys::{CellMachine, SpeEnv};
 use marvel::color::quantize_rgb;
 use marvel::image::ColorImage;
 use marvel::resilient::ResilientMarvel;
+use portkit::dispatcher::KernelDispatcher;
+use portkit::interface::{ReplyMode, SpeInterface};
 
 /// Run one backend over `input` and return the output region.
 fn run_backend(
@@ -154,6 +156,57 @@ fn jacobi_backends_agree_on_arbitrary_grids() {
 }
 
 #[test]
+fn jacobi_image_matches_native_at_a_nonzero_code_base() {
+    // Registered second, the jacobi image is uploaded above the gray
+    // one, so its shuffle-pattern loads must be PC-relative to find
+    // their quadwords.
+    let mut m = CellMachine::new(MachineConfig::small()).unwrap();
+    let mut ppe = m.ppe();
+    let mem = Arc::clone(m.mem());
+    let mut d = KernelDispatcher::new("isa", ReplyMode::Polling);
+    d.register_image("gray", build_gray_kernel().unwrap());
+    let op = d.register_image("jacobi", build_jacobi_kernel().unwrap());
+    let handle = m.spawn(0, Box::new(d)).unwrap();
+    let mut stub = SpeInterface::new("isa", 0, ReplyMode::Polling);
+    sweep("jacobi@base", 4, |rng| {
+        let w = (rng.next_in(2, 12) * 4) as u32;
+        let h = rng.next_in(3, 24) as u32;
+        let count = w * h;
+        let input: Vec<u8> = (0..count)
+            .flat_map(|_| ((rng.next_u64() % 10_000) as f32 / 100.0).to_le_bytes())
+            .collect();
+        let in_ea = mem.alloc(input.len(), 16).unwrap();
+        mem.write(in_ea, &input).unwrap();
+        let out_ea = mem.alloc(input.len(), 16).unwrap();
+        let hdr_ea = mem.alloc(16, 16).unwrap();
+        let header = KernelHeader {
+            in_ea: in_ea as u32,
+            out_ea: out_ea as u32,
+            count,
+            param: w | (h << 16),
+        };
+        write_header(&mem, hdr_ea, header).unwrap();
+        assert_eq!(
+            stub.send_and_wait(&mut ppe, op, hdr_ea as u32).unwrap(),
+            count
+        );
+        let mut isa = vec![0u8; input.len()];
+        mem.read(out_ea, &mut isa).unwrap();
+        let native = run_backend(
+            None,
+            native_jacobi,
+            &input,
+            input.len(),
+            count,
+            header.param,
+        );
+        assert_eq!(isa, native, "jacobi at a nonzero code base diverges");
+    });
+    stub.close(&mut ppe).unwrap();
+    assert!(handle.join().unwrap().fault.is_none());
+}
+
+#[test]
 fn hist_backends_agree_during_a_fault_injected_marvel_run() {
     // A resilient MARVEL run loses an SPE mid-analysis and fails over;
     // the interpreted backend must stay byte-identical to native on the
@@ -162,7 +215,9 @@ fn hist_backends_agree_during_a_fault_injected_marvel_run() {
     let img = ColorImage::synthetic(64, 48, 0x5EED_F417).unwrap();
     let mut app = ResilientMarvel::new(true, 0xF417, FaultPlan::new().crash_spe(1, 1)).unwrap();
     let analysis = app.analyze_decoded(&img).unwrap();
-    assert!(!analysis.feature(marvel::features::KernelKind::Ch).is_empty());
+    assert!(!analysis
+        .feature(marvel::features::KernelKind::Ch)
+        .is_empty());
     assert!(app.failovers() > 0, "the injected crash must fail over");
     app.finish().unwrap();
 
