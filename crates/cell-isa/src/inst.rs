@@ -32,6 +32,19 @@ pub enum Form {
     Ri18,
 }
 
+impl Form {
+    /// Width in bits of the opcode prefix that selects this form's ops.
+    pub(crate) const fn prefix_width(self) -> u32 {
+        match self {
+            Form::Rrr => 4,
+            Form::Ri18 => 7,
+            Form::Ri10 => 8,
+            Form::Ri16 => 9,
+            Form::Rr | Form::Ri7 => 11,
+        }
+    }
+}
+
 /// Execution pipe of an instruction (drives the dual-issue cycle model):
 /// fixed-point/float arithmetic issues on the even pipe; loads, stores,
 /// quadword rotates, shuffles, branches and channel ops on the odd pipe.
@@ -59,7 +72,7 @@ macro_rules! ops {
             }
 
             /// Instruction format.
-            pub fn form(self) -> Form {
+            pub const fn form(self) -> Form {
                 match self { $( Op::$variant => $form, )* }
             }
 
@@ -69,7 +82,7 @@ macro_rules! ops {
             }
 
             /// Opcode value, right-aligned in its prefix width.
-            pub fn opcode(self) -> u32 {
+            pub const fn opcode(self) -> u32 {
                 match self { $( Op::$variant => $opcode, )* }
             }
         }
@@ -199,67 +212,56 @@ fn sext(v: u32, bits: u32) -> i32 {
     ((v << shift) as i32) >> shift
 }
 
-/// Decode one big-endian instruction word, trying prefix widths from
-/// shortest to longest. Returns `None` for words outside the implemented
-/// subset (the interpreter records these as `isa-unknown-op` trace
-/// events).
+/// The op owning each 11-bit word prefix (`word >> 21`), or `None`.
+/// An op whose opcode is `w` bits wide owns the `2^(11 - w)` prefixes
+/// that start with it. Built at compile time: two ops claiming the same
+/// prefix fail the build, so the opcode table is prefix-free.
+static DECODE_TABLE: [Option<Op>; 1 << 11] = {
+    let mut table = [None; 1 << 11];
+    let mut i = 0;
+    while i < Op::ALL.len() {
+        let op = Op::ALL[i];
+        let free = 11 - op.form().prefix_width();
+        let first = (op.opcode() << free) as usize;
+        let mut p = first;
+        while p < first + (1 << free) {
+            assert!(table[p].is_none(), "two ops share an opcode prefix");
+            table[p] = Some(op);
+            p += 1;
+        }
+        i += 1;
+    }
+    table
+};
+
+/// Decode one big-endian instruction word: one `DECODE_TABLE` lookup
+/// on its top 11 bits selects the op, whose form says which fields to
+/// extract. Returns `None` for words outside the implemented subset
+/// (the interpreter records these as `isa-unknown-op` trace events).
 pub fn decode(word: u32) -> Option<Inst> {
+    let op = DECODE_TABLE[(word >> 21) as usize]?;
     let rt = (word & 0x7F) as u8;
     let ra = ((word >> 7) & 0x7F) as u8;
     let rb = ((word >> 14) & 0x7F) as u8;
-
-    // RRR: 4-bit opcode, destination in the top register slot.
-    let op4 = word >> 28;
-    for &op in Op::ALL {
-        if op.form() == Form::Rrr && op.opcode() == op4 {
-            return Some(Inst {
-                op,
-                rt: ((word >> 21) & 0x7F) as u8,
-                ra,
-                rb,
-                rc: (word & 0x7F) as u8,
-                imm: 0,
-            });
-        }
-    }
-    // RI18: 7-bit opcode, 18-bit zero-extended immediate.
-    let op7 = word >> 25;
-    for &op in Op::ALL {
-        if op.form() == Form::Ri18 && op.opcode() == op7 {
-            return Some(Inst::ri(op, rt, 0, ((word >> 7) & 0x3FFFF) as i32));
-        }
-    }
-    // RI10: 8-bit opcode, 10-bit signed immediate.
-    let op8 = word >> 24;
-    for &op in Op::ALL {
-        if op.form() == Form::Ri10 && op.opcode() == op8 {
-            return Some(Inst::ri(op, rt, ra, sext((word >> 14) & 0x3FF, 10)));
-        }
-    }
-    // RI16: 9-bit opcode, 16-bit signed immediate.
-    let op9 = word >> 23;
-    for &op in Op::ALL {
-        if op.form() == Form::Ri16 && op.opcode() == op9 {
-            return Some(Inst::ri(op, rt, 0, sext((word >> 7) & 0xFFFF, 16)));
-        }
-    }
-    // RR / RI7: 11-bit opcode.
-    let op11 = word >> 21;
-    for &op in Op::ALL {
-        if op.opcode() != op11 {
-            continue;
-        }
-        match op.form() {
-            Form::Rr if op == Op::Stop => {
-                // `stop` carries a 14-bit stop-and-signal type.
-                return Some(Inst::ri(Op::Stop, 0, 0, (word & 0x3FFF) as i32));
-            }
-            Form::Rr => return Some(Inst::rr(op, rt, ra, rb)),
-            Form::Ri7 => return Some(Inst::ri(op, rt, ra, sext((word >> 14) & 0x7F, 7))),
-            _ => {}
-        }
-    }
-    None
+    Some(match op.form() {
+        // Destination in the top register slot, third source at the bottom.
+        Form::Rrr => Inst {
+            op,
+            rt: ((word >> 21) & 0x7F) as u8,
+            ra,
+            rb,
+            rc: rt,
+            imm: 0,
+        },
+        // `stop` carries a 14-bit stop-and-signal type.
+        Form::Rr if op == Op::Stop => Inst::ri(op, 0, 0, (word & 0x3FFF) as i32),
+        Form::Rr => Inst::rr(op, rt, ra, rb),
+        Form::Ri7 => Inst::ri(op, rt, ra, sext((word >> 14) & 0x7F, 7)),
+        Form::Ri10 => Inst::ri(op, rt, ra, sext((word >> 14) & 0x3FF, 10)),
+        Form::Ri16 => Inst::ri(op, rt, 0, sext((word >> 7) & 0xFFFF, 16)),
+        // The 18-bit immediate is zero-extended.
+        Form::Ri18 => Inst::ri(op, rt, 0, ((word >> 7) & 0x3FFFF) as i32),
+    })
 }
 
 /// Encode an instruction back into its big-endian word. Immediates are
@@ -289,28 +291,16 @@ mod tests {
     #[test]
     fn opcode_tables_are_prefix_free() {
         // Every pair of distinct ops must differ within the shorter
-        // opcode's prefix — otherwise decode order would matter.
-        fn width(form: Form) -> u32 {
-            match form {
-                Form::Rrr => 4,
-                Form::Ri18 => 7,
-                Form::Ri10 => 8,
-                Form::Ri16 => 9,
-                Form::Rr | Form::Ri7 => 11,
-            }
-        }
+        // opcode's prefix — otherwise one word would decode as both.
         for &a in Op::ALL {
             for &b in Op::ALL {
                 if a == b {
                     continue;
                 }
-                let (wa, wb) = (width(a.form()), width(b.form()));
+                let (wa, wb) = (a.form().prefix_width(), b.form().prefix_width());
                 let w = wa.min(wb);
                 let pa = a.opcode() >> (wa - w);
                 let pb = b.opcode() >> (wb - w);
-                // Same prefix width and value is only legal for RR vs RI7
-                // at *different* opcodes — equal prefixes must be equal
-                // ops, which we excluded.
                 assert!(
                     pa != pb,
                     "{} and {} share the {w}-bit prefix {pa:#x}",
@@ -319,6 +309,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn every_prefix_decodes_to_the_op_that_owns_it() {
+        // Exhaustive over all 2048 prefixes: a decodable prefix starts
+        // with its op's opcode, and no op's prefix range has a hole.
+        let mut decodable = 0u32;
+        for p in 0u32..1 << 11 {
+            if let Some(inst) = decode(p << 21) {
+                let w = inst.op.form().prefix_width();
+                assert_eq!(
+                    inst.op.opcode(),
+                    p >> (11 - w),
+                    "prefix {p:#05x} decodes as {}",
+                    inst.op.name()
+                );
+                decodable += 1;
+            }
+        }
+        let owned: u32 = Op::ALL
+            .iter()
+            .map(|op| 1 << (11 - op.form().prefix_width()))
+            .sum();
+        assert_eq!(decodable, owned);
     }
 
     #[test]

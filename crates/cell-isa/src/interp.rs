@@ -28,8 +28,6 @@
 //! blocking channel operation and at `stop`, so mailbox and DMA
 //! ordering against other SPEs stays faithful.
 
-use std::collections::BTreeMap;
-
 use cell_core::{CellResult, OpClass, OpProfile};
 use cell_mfc::TagMask;
 use cell_spu::V128;
@@ -96,7 +94,7 @@ pub struct DmaOp {
 /// [`ExecTrace::to_profile`]) and cell-lint's ground truth.
 #[derive(Debug, Clone, Default)]
 pub struct ExecTrace {
-    /// Instructions retired.
+    /// Instructions executed.
     pub instructions: u64,
     /// Cycles under the even/odd dual-issue model (penalties included).
     pub cycles: u64,
@@ -128,8 +126,6 @@ pub struct ExecTrace {
     pub channel_ops_truncated: bool,
     /// MFC commands issued in program order.
     pub dma_ops: Vec<DmaOp>,
-    /// Retired-instruction histogram by mnemonic.
-    pub retired: BTreeMap<&'static str, u64>,
 }
 
 impl ExecTrace {
@@ -195,9 +191,6 @@ impl ExecTrace {
         self.channel_ops.extend(other.channel_ops.iter().take(room));
         self.channel_ops_truncated |= other.channel_ops_truncated;
         self.dma_ops.extend(other.dma_ops.iter().copied());
-        for (name, n) in &other.retired {
-            *self.retired.entry(name).or_insert(0) += *n;
-        }
     }
 
     fn log_channel(&mut self, channel: u8, write: bool, value: u32) {
@@ -363,7 +356,9 @@ impl Interpreter {
                 ));
             }
             steps += 1;
-            if self.pc + 4 > capacity {
+            // Written so a pc near u32::MAX (a `bi` to the top of the
+            // address space) cannot overflow; capacity is at least 4 KiB.
+            if self.pc > capacity - 4 {
                 self.flush_cycles(env);
                 return Err(spe_fault(
                     env.spe_id(),
@@ -384,7 +379,6 @@ impl Interpreter {
                 ));
             };
             self.trace.instructions += 1;
-            *self.trace.retired.entry(inst.op.name()).or_insert(0) += 1;
             self.issue(inst.op.pipe());
 
             let (rt, ra, rb, rc) = (inst.rt, inst.ra, inst.rb, inst.rc);

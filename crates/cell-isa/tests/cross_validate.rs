@@ -68,7 +68,7 @@ fn run_backend(
 }
 
 fn assert_calibrated(trace: &cell_isa::ExecTrace, label: &str) {
-    assert!(trace.instructions > 0, "{label}: no instructions retired");
+    assert!(trace.instructions > 0, "{label}: no instructions executed");
     let analytic = MachineProfile::spe_optimized()
         .compute_cycles(&trace.to_profile())
         .0;
@@ -191,4 +191,31 @@ fn runaway_kernel_faults_with_trace_preserved() {
     assert!(h.join().is_err());
     let trace = sink.lock().unwrap().take().unwrap();
     assert!(trace.instructions > 0);
+}
+
+#[test]
+fn branch_to_the_top_of_the_address_space_faults_with_trace_preserved() {
+    // `bi` to 0xFFFF_FFFC: the next fetch's bounds check must report the
+    // pc, not overflow computing `pc + 4`.
+    let mut a = cell_isa::Assembler::new();
+    a.il(5, -4);
+    a.rr(cell_isa::Op::Bi, 0, 5, 0);
+    let image = a.assemble().unwrap();
+    let mut m = CellMachine::new(MachineConfig::small()).unwrap();
+    let sink: cell_isa::TraceSink = Arc::new(Mutex::new(None));
+    let h = m
+        .spawn(
+            0,
+            Box::new(IsaProgram::new(image).with_trace_sink(Arc::clone(&sink))),
+        )
+        .unwrap();
+    let report = h.join_report().unwrap();
+    let fault = report.fault.expect("the fetch at 0xfffffffc must fault");
+    assert!(
+        fault.contains("pc 0xfffffffc outside local store"),
+        "{fault}"
+    );
+    let trace = sink.lock().unwrap().take().unwrap();
+    assert_eq!(trace.instructions, 2);
+    assert_eq!(trace.taken_branches, 1);
 }
