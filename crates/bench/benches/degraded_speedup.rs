@@ -8,7 +8,8 @@
 use cell_bench::harness::Criterion;
 use cell_bench::{criterion_group, criterion_main, small_workload, SEED};
 use cell_fault::FaultPlan;
-use marvel::resilient::ResilientMarvel;
+use cell_trace::TraceConfig;
+use marvel::app::CellMarvel;
 
 /// Crash every SPE in `retired` on its first dispatched op. Only SPEs
 /// that actually receive work die, so the retire set must name home SPEs
@@ -28,7 +29,8 @@ fn print_degraded() {
     let inputs = small_workload(2, 96, 64);
     let mut full_run = None;
     for (label, retired) in SCENARIOS {
-        let mut cell = ResilientMarvel::new(true, SEED, retire(retired)).expect("spawn");
+        let mut cell =
+            CellMarvel::resilient(true, SEED, retire(retired), TraceConfig::Off).expect("spawn");
         for input in &inputs {
             cell.analyze(input).expect("analyze");
         }
@@ -56,7 +58,8 @@ fn bench_degraded(c: &mut Criterion) {
     for (label, retired) in SCENARIOS {
         g.bench_function(label, |b| {
             b.iter(|| {
-                let mut cell = ResilientMarvel::new(true, SEED, retire(retired)).unwrap();
+                let mut cell =
+                    CellMarvel::resilient(true, SEED, retire(retired), TraceConfig::Off).unwrap();
                 let analysis = cell.analyze(&inputs[0]).unwrap();
                 cell.finish().unwrap();
                 analysis.scores.len()

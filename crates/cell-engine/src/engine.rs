@@ -11,7 +11,7 @@
 //! the happens-before race detector.
 //!
 //! Two dispatch disciplines share the loop (see
-//! [`FailoverMode`](crate::policy::FailoverMode)):
+//! [`FailoverMode`]):
 //!
 //! * **Fail** — blocking mailbox reads/writes: virtual time is a pure
 //!   function of the schedule, so runs are cycle-deterministic (the

@@ -5,7 +5,7 @@
 //! application should run the same stub/dispatch machinery of Listings
 //! 1–4, with the final optimization step — overlap PPE and SPE work so
 //! the accelerator never idles — applied once, centrally. Before this
-//! crate, `marvel::app`, `marvel::resilient`, `cell-serve`, and the
+//! crate, MARVEL's static and failover drivers, `cell-serve`, and the
 //! stencil port each reimplemented send-and-wait dispatch, stale-reply
 //! draining, retry, failover, and trace emission, and none kept more
 //! than one request in flight per SPE. [`Engine`] owns all of it:

@@ -35,7 +35,7 @@
 //! # Zero cost when disabled
 //!
 //! Mirroring `TraceConfig::Off`, a default (empty) plan arms empty
-//! [`FaultLine`]s whose [`FaultLine::next`] is a single
+//! [`FaultLine`]s whose [`FaultLine::tick`] is a single
 //! `is_empty()` branch — no allocation, no counter update, nothing else
 //! on the hot path.
 

@@ -116,12 +116,12 @@ pub struct ExecTrace {
     /// Highest LS byte address touched by a load or store, exclusive.
     pub ls_high_water: u32,
     /// Raw LS addresses that were at or beyond capacity before
-    /// wrapping (capped at [`ERROR_LOG_CAP`] entries).
+    /// wrapping (capped at `ERROR_LOG_CAP` entries).
     pub ls_oob: Vec<u32>,
     /// Instruction words that failed to decode (capped).
     pub unknown_ops: Vec<u32>,
     /// Channel accesses in program order (capped at
-    /// [`CHANNEL_LOG_CAP`]; see `channel_ops_truncated`).
+    /// `CHANNEL_LOG_CAP`; see `channel_ops_truncated`).
     pub channel_ops: Vec<ChannelOp>,
     pub channel_ops_truncated: bool,
     /// MFC commands issued in program order.

@@ -22,7 +22,6 @@ use cell_stencil::offload::StencilApp;
 use cell_trace::TraceConfig;
 use marvel::app::{CellMarvel, Scenario};
 use marvel::image::ColorImage;
-use marvel::resilient::ResilientMarvel;
 
 /// Image geometry the lint models assume (CIF frames, like the paper's
 /// MARVEL corpus).
@@ -57,7 +56,7 @@ fn ports() -> CellResult<Vec<Port>> {
     out.push(Port { model, report });
 
     // --- MARVEL with universal dispatchers (failover port) --------------
-    let app = ResilientMarvel::new(true, 7, FaultPlan::new())?;
+    let app = CellMarvel::resilient(true, 7, FaultPlan::new(), TraceConfig::Off)?;
     let model = cell_lint::model_resilient(&app, IMG_W, IMG_H)?;
     let report = analyze(&model, &config);
     out.push(Port { model, report });

@@ -15,10 +15,9 @@ use cell_mem::StructLayout;
 use cell_serve::{CellServer, PROBE_FN};
 use cell_stencil::grid::Grid;
 use cell_stencil::offload::{stencil_wrapper_layout, StencilApp, JACOBI_FN};
-use marvel::app::{CellMarvel, EXTRACT_KINDS};
+use marvel::app::{paper_kernel_specs, CellMarvel, EXTRACT_KINDS};
 use marvel::features::KernelKind;
 use marvel::kernels::{feature_dim, kernel_fn_name};
-use marvel::resilient::{paper_kernel_specs, ResilientMarvel};
 use marvel::wire::{image_stride, DetectWire, ExtractWire};
 use portkit::opcodes::run_opcode;
 use portkit::schedule::Schedule;
@@ -146,35 +145,37 @@ pub fn model_marvel(app: &CellMarvel, image_w: usize, image_h: usize) -> CellRes
     })
 }
 
-/// Model the failover MARVEL port: every SPE hosts the universal
-/// dispatcher, so any SPE can serve any kernel after a failure.
-pub fn model_resilient(
-    app: &ResilientMarvel,
-    image_w: usize,
-    image_h: usize,
-) -> CellResult<PortModel> {
+/// Model the failover MARVEL port ([`CellMarvel::resilient`]): every
+/// SPE hosts the universal dispatcher, so any SPE can serve any kernel
+/// after a failure.
+pub fn model_resilient(app: &CellMarvel, image_w: usize, image_h: usize) -> CellResult<PortModel> {
     let cfg = MachineConfig::default();
-    let ops = app.opcodes();
+    let bindings = app.kernel_bindings();
+    // Universal dispatchers answer every kernel with the same opcode on
+    // every SPE.
+    let mut opcodes: Vec<(String, u32)> = bindings
+        .iter()
+        .map(|&(kind, _, ops)| (kernel_fn_name(kind).to_string(), ops.extract))
+        .collect();
+    opcodes.push((
+        kernel_fn_name(KernelKind::Cd).to_string(),
+        app.cd_binding().1,
+    ));
     let mut kernels = Vec::new();
     let mut scripts = Vec::new();
     for spe in 0..app.num_spes() {
-        let mut opcodes: Vec<(String, u32)> = EXTRACT_KINDS
-            .iter()
-            .map(|&k| (kernel_fn_name(k).to_string(), ops.opcode(k)))
-            .collect();
-        opcodes.push((kernel_fn_name(KernelKind::Cd).to_string(), ops.detect));
         // The widest extraction wire bounds the LS cost.
         let wire = ExtractWire::new(feature_dim(KernelKind::Ch))?;
         scripts.push(PortModel::engine_script(
             spe,
-            ops.opcode(KernelKind::Ch),
+            bindings[0].2.extract,
             2,
             app.engine_window(),
         ));
         kernels.push(KernelModel {
             name: format!("universal@spe{spe}"),
             spe,
-            opcodes,
+            opcodes: opcodes.clone(),
             wrapper: Some(extract_wrapper(KernelKind::Ch)?),
             code_bytes: cfg.code_reserved,
             plans: extract_plans(&wire, image_w, image_h),

@@ -56,6 +56,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
+use cell_trace::escape_json;
 use portkit::advisor::Severity;
 
 use crate::model::{DispatchScript, PortModel, ScriptOp, SupervisionModel};
@@ -145,7 +146,7 @@ impl McReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(192 + self.findings.len() * 256);
         out.push_str("{\"port\":\"");
-        json_escape_into(&self.port, &mut out);
+        escape_json(&self.port, &mut out);
         let _ = write!(
             out,
             "\",\"mode\":\"mc\",\"errors\":{},\"scripts\":{},\"variants\":{},\"states\":{},\"transitions\":{},\"peak_states\":{},\"findings\":[",
@@ -188,20 +189,6 @@ impl McReport {
             );
         }
         out
-    }
-}
-
-fn json_escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -73,8 +73,9 @@ impl SupervisionModel {
         }
     }
 
-    /// Retry/timeout/failover without respawn — `ResilientMarvel`'s
-    /// shape: a dead SPE is abandoned and its work replans elsewhere.
+    /// Retry/timeout/failover without respawn — the shape of MARVEL's
+    /// failover layout (`CellMarvel::resilient`): a dead SPE is abandoned
+    /// and its work replans elsewhere.
     pub fn failover_only() -> Self {
         SupervisionModel {
             breaker_threshold: u32::MAX,

@@ -39,6 +39,7 @@ use std::fmt::Write as _;
 
 use cell_core::config::DMA_LIST_MAX_ELEMENTS;
 use cell_core::QUADWORD;
+use cell_trace::escape_json;
 use portkit::advisor::{self, Advice, Severity};
 use portkit::opcodes::SPU_EXIT;
 
@@ -79,25 +80,11 @@ impl Finding {
         out.push_str("\",\"rule\":\"");
         out.push_str(self.rule);
         out.push_str("\",\"subject\":\"");
-        escape_into(&self.subject, &mut out);
+        escape_json(&self.subject, &mut out);
         out.push_str("\",\"message\":\"");
-        escape_into(&self.message, &mut out);
+        escape_json(&self.message, &mut out);
         out.push_str("\"}");
         out
-    }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 
@@ -181,7 +168,7 @@ impl LintReport {
         let hints = self.findings.len() - errors - warnings;
         let mut out = String::with_capacity(128 + self.findings.len() * 160);
         out.push_str("{\"port\":\"");
-        escape_into(&self.port, &mut out);
+        escape_json(&self.port, &mut out);
         let _ = write!(
             out,
             "\",\"errors\":{errors},\"warnings\":{warnings},\"hints\":{hints},\"findings\":["

@@ -2,8 +2,8 @@
 //!
 //! [`CellServer`] pushes MARVEL feature-extraction requests through the
 //! simulated machine under sustained load and injected faults. It layers
-//! four defenses on top of the resilient pipeline of
-//! [`marvel::resilient`]:
+//! four defenses on top of the failover layout of
+//! [`marvel::app::CellMarvel::resilient`]:
 //!
 //! * **admission control** — a bounded [`AdmissionQueue`]; a full queue
 //!   rejects with [`CellError::Overloaded`], and requests whose deadline
@@ -38,14 +38,13 @@ use cell_sys::ppe::Ppe;
 use cell_sys::spe::SpeEnv;
 use cell_telemetry::{FlightDump, MetricsRegistry};
 use cell_trace::{Counter, EventKind, LogHistogram, TraceConfig, TraceReport, FLIGHT_CAPACITY};
-use marvel::app::{MarvelModels, EXTRACT_KINDS};
+use marvel::app::{MarvelModels, CD_KERNEL, EXTRACT_KINDS};
 use marvel::features::{Feature, KernelKind};
 use marvel::image::ColorImage;
 use marvel::kernels::{
     collect_detect, collect_extract, prepare_detect, prepare_extract, universal_dispatcher,
     UniversalOpcodes,
 };
-use marvel::resilient::CD_KERNEL;
 use marvel::wire::{upload_image, upload_model};
 use portkit::dispatcher::KernelDispatcher;
 use portkit::interface::ReplyMode;

@@ -9,21 +9,33 @@
 //!   costed on the Laptop / Desktop / PPE machine models (that *is* the
 //!   paper's §5.2 profiling step);
 //! * [`CellMarvel`] — the ported application on the simulated machine:
-//!   PPE thread + five SPE-resident kernels behind `SpeInterface` stubs,
-//!   run under any of the §5.5 scheduling [`Scenario`]s;
+//!   a PPE thread drives SPE-resident kernels through one offload engine
+//!   along the static schedule of any of the §5.5 scheduling
+//!   [`Scenario`]s. Its failover layout ([`CellMarvel::resilient`]) puts
+//!   a universal dispatcher on every SPE and re-plans the same schedule
+//!   over the survivors when an SPE dies;
 //! * the unoptimized Cell variant (a `CellMarvel` flag) for the §5.3
 //!   before-optimization measurements.
 
 use std::sync::Arc;
 
-use cell_core::{CellError, CellResult, CostModel, MachineProfile, OpProfile, VirtualDuration};
-use cell_engine::Engine;
+use cell_core::{
+    CellError, CellResult, CostModel, MachineConfig, MachineProfile, OpProfile, VirtualDuration,
+};
+use cell_engine::{Engine, FailoverMode, Ticket};
+use cell_fault::FaultPlan;
+use cell_mem::MainMemory;
 use cell_sys::machine::{CellMachine, SpeHandle, SpeReport};
 use cell_sys::ppe::Ppe;
 use cell_trace::{TraceConfig, TraceReport};
+use portkit::amdahl::KernelSpec;
+use portkit::dispatcher::KernelDispatcher;
 use portkit::interface::ReplyMode;
-use portkit::opcodes::SPU_OK;
+use portkit::opcodes::{OpcodeTable, SPU_OK};
 use portkit::profile::CoverageProfiler;
+use portkit::recovery::RetryPolicy;
+use portkit::schedule::{KernelId, Schedule};
+use portkit::wrapper::MsgWrapper;
 
 use crate::classify::paper_model_size;
 use crate::classify::svm::SvmModel;
@@ -32,9 +44,9 @@ use crate::features::{correlogram, edge, histogram, texture, Feature, KernelKind
 use crate::image::ColorImage;
 use crate::kernels::{
     collect_detect, collect_extract, detect_dispatcher, extract_dispatcher, feature_dim,
-    prepare_detect, prepare_extract, ExtractOpcodes,
+    kernel_fn_name, prepare_detect, prepare_extract, universal_dispatcher, ExtractOpcodes,
 };
-use crate::wire::{upload_image, upload_model};
+use crate::wire::{upload_image, upload_model, ExtractWire};
 
 /// One-time application overhead (model loading, startup I/O). The paper
 /// measures it as disk-bound and therefore roughly machine-independent:
@@ -272,6 +284,28 @@ impl ReferenceMarvel {
 // The ported application on the simulated Cell
 // =========================================================================
 
+/// Kernel id of concept detection in every MARVEL schedule (extractions
+/// are kernels `0..=3` in [`EXTRACT_KINDS`] order).
+pub const CD_KERNEL: KernelId = 4;
+
+/// The extraction kernels' schedule slots, in [`EXTRACT_KINDS`] order.
+const EXTRACTIONS: [KernelId; 4] = [0, 1, 2, 3];
+
+/// The paper's Table 1 kernels as [`KernelSpec`]s vs the Desktop (each
+/// SPE-vs-PPE speed-up divided by the 3.2× PPE slowdown) — the inputs the
+/// §5.5 scenario estimates and the degraded-mode Eq. 3 share. Indexed by
+/// [`KernelId`]: `0..=3` the extractions, [`CD_KERNEL`] detection.
+pub fn paper_kernel_specs() -> Vec<KernelSpec> {
+    let f = 3.2;
+    vec![
+        KernelSpec::new("CHExtract", 0.08, 53.67 / f),
+        KernelSpec::new("CCExtract", 0.54, 52.23 / f),
+        KernelSpec::new("TXExtract", 0.06, 15.99 / f),
+        KernelSpec::new("EHExtract", 0.28, 65.94 / f),
+        KernelSpec::new("ConceptDet", 0.02, 10.80 / f),
+    ]
+}
+
 /// The §5.5 scheduling scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scenario {
@@ -286,18 +320,35 @@ pub enum Scenario {
     ParallelReplicated,
 }
 
-/// The ported application: PPE main loop + five resident SPE kernels,
-/// all driven through one [`cell_engine::Engine`].
+/// Fig. 4(c) over `num_spes` SPEs: the four extractions together, then
+/// detection.
+fn extract_then_detect(num_spes: usize) -> CellResult<Schedule> {
+    Schedule::grouped(vec![EXTRACTIONS.to_vec(), vec![CD_KERNEL]], num_spes)
+}
+
+/// An extraction in flight: its schedule slot, engine ticket and wrapper.
+type PendingExtract<'m> = (KernelId, Ticket, MsgWrapper<'m>, ExtractWire);
+
+/// The ported application: a PPE main loop driving the SPE-resident
+/// kernels through one [`cell_engine::Engine`] along the scenario's
+/// static [`Schedule`] (§3.3): kernel *k* of [`EXTRACT_KINDS`] is
+/// schedule slot *k*, detection is [`CD_KERNEL`], and every submission is
+/// routed by slot. One driver therefore serves two layouts:
+///
+/// * **static** ([`CellMarvel::new`]) — the paper's one kernel per SPE
+///   (extractions on SPEs 0..=3, detection on SPE 4) with blocking
+///   dispatch; a failed SPE surfaces as an error;
+/// * **failover** ([`CellMarvel::resilient`]) — a universal dispatcher on
+///   every SPE and the engine in [`FailoverMode::Replan`], so the run
+///   survives SPE failures.
 pub struct CellMarvel {
     // Field order matters: handles are joined in `finish`, machine last.
     ppe: Ppe,
     machine: CellMachine,
     handles: Vec<SpeHandle>,
     engine: Engine,
-    /// Extraction kernel placement: `(kind, spe, opcodes)` in pipeline
-    /// order; the engine's lane *i* hosts `kinds[i]`.
-    kinds: Vec<(KernelKind, usize, ExtractOpcodes)>,
-    cd_spe: usize,
+    /// Opcodes of extraction slot *k*, read from its dispatcher's table.
+    ops: Vec<ExtractOpcodes>,
     cd_opcode: u32,
     models: MarvelModels,
     model_eas: Vec<(KernelKind, u64, usize)>,
@@ -327,12 +378,89 @@ impl CellMarvel {
         seed: u64,
         trace: TraceConfig,
     ) -> CellResult<Self> {
+        // The static one-kernel-per-SPE layout: both schedule shapes put
+        // kernel k on SPE k.
+        let with_detect = scenario == Scenario::ParallelReplicated;
+        let mut dispatchers: Vec<KernelDispatcher> = EXTRACT_KINDS
+            .into_iter()
+            .map(|kind| extract_dispatcher(kind, optimized, with_detect, ReplyMode::Polling).0)
+            .collect();
+        dispatchers.push(detect_dispatcher(ReplyMode::Polling).0);
+        let n = dispatchers.len();
+        let schedule = match scenario {
+            Scenario::Sequential => Schedule::sequential(n, n)?,
+            Scenario::ParallelExtract | Scenario::ParallelReplicated => extract_then_detect(n)?,
+        };
+        // Window 2: the per-image scenarios never keep more than one
+        // request per lane outstanding (so their timing is untouched),
+        // while the pipelined batch path queues frame N+1 behind frame N.
+        let engine = Engine::new(n).with_window(2).with_schedule(schedule);
+        Self::boot(scenario, seed, FaultPlan::new(), trace, dispatchers, engine)
+    }
+
+    /// The failover layout: scenario 2's schedule over every SPE of the
+    /// machine, able to survive the SPE failures `plan` injects (or, on
+    /// real hardware, anything that kills a resident kernel). Three
+    /// ingredients make the recovery work:
+    ///
+    /// * **universal dispatchers** — every SPE runs
+    ///   [`crate::kernels::universal_dispatcher`], so any kernel can be
+    ///   re-dispatched on any survivor with the same opcode;
+    /// * **supervised round trips** — the engine runs in
+    ///   [`FailoverMode::Replan`] with one request per lane, so every wait
+    ///   goes through [`portkit::recovery`]'s timeout/retry/dead-SPE
+    ///   machinery;
+    /// * **re-planning** — on a detected failure the schedule is
+    ///   recomputed over the survivors with [`Schedule::replan`], and
+    ///   [`CellMarvel::degraded_estimate`] reprices the run for the
+    ///   reduced SPE count.
+    ///
+    /// Because the kernels are pure functions over wrapped inputs, a
+    /// failover re-dispatch recomputes *exactly* the same feature bytes: a
+    /// chaos run that kills one of eight SPEs mid-pipeline still produces
+    /// results byte-identical to the fault-free run. `trace` is armed as
+    /// in [`CellMarvel::with_trace`], so injected faults and recoveries
+    /// land in the final [`TraceReport`].
+    pub fn resilient(
+        optimized: bool,
+        seed: u64,
+        plan: FaultPlan,
+        trace: TraceConfig,
+    ) -> CellResult<Self> {
+        let num_spes = MachineConfig::default().num_spes;
+        let dispatchers = (0..num_spes)
+            .map(|_| universal_dispatcher(optimized, ReplyMode::Polling).0)
+            .collect();
+        let engine = Engine::new(num_spes)
+            .with_schedule(extract_then_detect(num_spes)?)
+            .with_mode(FailoverMode::Replan);
+        Self::boot(
+            Scenario::ParallelExtract,
+            seed,
+            plan,
+            trace,
+            dispatchers,
+            engine,
+        )
+    }
+
+    /// Arm tracing and `plan`, upload the models, then spawn
+    /// `dispatchers[i]` on SPE *i*. The models go up before any SPE
+    /// spawns, so their addresses (and every DMA) match in both layouts.
+    fn boot(
+        scenario: Scenario,
+        seed: u64,
+        plan: FaultPlan,
+        trace: TraceConfig,
+        dispatchers: Vec<KernelDispatcher>,
+        engine: Engine,
+    ) -> CellResult<Self> {
         let mut machine = CellMachine::cell_be();
         machine.set_trace_config(trace);
+        machine.set_fault_plan(plan);
         let ppe = machine.ppe();
         let models = MarvelModels::synthetic(seed);
 
-        // Upload models.
         let mem = Arc::clone(ppe.mem());
         let mut model_eas = Vec::new();
         for kind in EXTRACT_KINDS {
@@ -340,31 +468,27 @@ impl CellMarvel {
             model_eas.push((kind, ea, bytes));
         }
 
-        // Spawn extraction kernels on SPEs 0..=3, detection on SPE 4 —
-        // the paper's static one-kernel-per-SPE schedule (§3.3).
-        let with_detect = scenario == Scenario::ParallelReplicated;
-        let mut handles = Vec::new();
-        let mut kinds = Vec::new();
-        for (spe, kind) in EXTRACT_KINDS.into_iter().enumerate() {
-            let (d, ops) = extract_dispatcher(kind, optimized, with_detect, ReplyMode::Polling);
-            handles.push(machine.spawn(spe, Box::new(d))?);
-            kinds.push((kind, spe, ops));
+        // Opcodes come from the dispatcher each slot is scheduled on.
+        let table = |slot: KernelId| -> CellResult<OpcodeTable> {
+            Ok(dispatchers[engine.spe_of(slot)?].opcode_table())
+        };
+        let mut ops = Vec::new();
+        for (k, kind) in EXTRACT_KINDS.into_iter().enumerate() {
+            ops.push(ExtractOpcodes::from_table(&table(k)?, kind));
         }
-        let (cd, cd_opcode) = detect_dispatcher(ReplyMode::Polling);
-        handles.push(machine.spawn(4, Box::new(cd))?);
+        let cd_opcode = table(CD_KERNEL)?.require(kernel_fn_name(KernelKind::Cd));
 
-        // Window 2: the per-image scenarios never keep more than one
-        // request per lane outstanding (so their timing is untouched),
-        // while the pipelined batch path queues frame N+1 behind frame N.
-        let engine = Engine::new(5).with_window(2);
+        let mut handles = Vec::new();
+        for (spe, d) in dispatchers.into_iter().enumerate() {
+            handles.push(machine.spawn(spe, Box::new(d))?);
+        }
 
         Ok(CellMarvel {
             ppe,
             machine,
             handles,
             engine,
-            kinds,
-            cd_spe: 4,
+            ops,
             cd_opcode,
             models,
             model_eas,
@@ -418,21 +542,78 @@ impl CellMarvel {
     }
 
     /// The extraction kernels' SPE placement and opcode tables:
-    /// `(kind, spe id, opcodes)` per resident dispatcher. Feeds the
-    /// `cell-lint` port model.
+    /// `(kind, spe id, opcodes)` per extraction slot. Feeds the
+    /// `cell-lint` port models.
     pub fn kernel_bindings(&self) -> Vec<(KernelKind, usize, ExtractOpcodes)> {
-        self.kinds.clone()
+        EXTRACT_KINDS
+            .into_iter()
+            .zip(&self.ops)
+            .enumerate()
+            .map(|(k, (kind, &ops))| (kind, self.schedule().spe_of(k), ops))
+            .collect()
     }
 
     /// Concept detection's `(spe id, opcode)` binding.
     pub fn cd_binding(&self) -> (usize, u32) {
-        (self.cd_spe, self.cd_opcode)
+        (self.schedule().spe_of(CD_KERNEL), self.cd_opcode)
     }
 
-    /// The offload engine's in-flight window (the pipelined depth the
-    /// batch path runs at).
+    /// The offload engine's in-flight window per lane: 2 in the static
+    /// layout (the pipelined depth the batch path runs at), 1 in the
+    /// failover layout (serial lanes keep every timeout attributable).
     pub fn engine_window(&self) -> usize {
         self.engine.window()
+    }
+
+    /// Number of SPEs carrying a dispatcher.
+    pub fn num_spes(&self) -> usize {
+        self.engine.num_spes()
+    }
+
+    /// The current schedule — re-planned over the survivors after a
+    /// failover in the failover layout.
+    pub fn schedule(&self) -> &Schedule {
+        self.engine
+            .schedule()
+            .expect("engine built with a schedule")
+    }
+
+    /// Replace the retry/timeout policy (e.g. shorter deadlines for hang
+    /// detection in tests).
+    pub fn set_policy(&mut self, policy: RetryPolicy) {
+        self.engine.set_policy(policy);
+    }
+
+    /// The engine's recovery decision stream (retries and failovers in
+    /// the order they were taken) — what the driver-equivalence tests
+    /// compare against cell-serve on the same seed and fault plan.
+    pub fn recovery_log(&self) -> &[cell_engine::RecoveryEvent] {
+        self.engine.recovery_log()
+    }
+
+    /// Liveness per SPE, as observed so far.
+    pub fn alive(&self) -> &[bool] {
+        self.engine.alive()
+    }
+
+    /// SPEs still believed alive.
+    pub fn survivors(&self) -> usize {
+        self.alive().iter().filter(|&&a| a).count()
+    }
+
+    /// Failovers performed so far (each one marks an SPE dead and
+    /// re-plans the schedule).
+    pub fn failovers(&self) -> u64 {
+        self.engine.failovers() as u64
+    }
+
+    /// Degraded-mode Eq. 3: the application speed-up estimate for the
+    /// paper's kernels on the *current* survivor count (wide groups
+    /// serialized into chunks, exactly as the re-planned schedule runs
+    /// them).
+    pub fn degraded_estimate(&self) -> CellResult<f64> {
+        self.schedule()
+            .estimate_degraded(&paper_kernel_specs(), self.survivors())
     }
 
     /// Charge the one-time startup overhead (model loading etc.) to the
@@ -459,30 +640,19 @@ impl CellMarvel {
 
     /// Analyze one compressed image on the Cell.
     pub fn analyze(&mut self, input: &Compressed) -> CellResult<ImageAnalysis> {
-        // Preprocessing on the PPE: decode (costed with the PPE model) +
-        // the disk read constant.
-        let mut pre = OpProfile::new();
-        let img = codec::decode_counted(input, &mut pre)?;
-        self.ppe.charge(&pre);
-        self.ppe
-            .charge_cycles((DISK_READ_PER_IMAGE * self.ppe.clock.frequency().hertz()) as u64);
-        let analysis = self.analyze_decoded(&img)?;
-        Ok(analysis)
+        let img = self.decode(input)?;
+        self.analyze_decoded(&img)
     }
 
     /// Analyze an already-decoded image (used by kernel-level tests).
     pub fn analyze_decoded(&mut self, img: &ColorImage) -> CellResult<ImageAnalysis> {
         let mem = Arc::clone(self.ppe.mem());
-        let image_ea = upload_image(&mem, img)?;
-        // Wrapper fill cost on the PPE (Listing 4's FILL_MSG…).
-        self.ppe.charge_cycles(2_000);
-
+        let image = self.upload(&mem, img)?;
         let result = match self.scenario {
-            Scenario::Sequential => self.run_sequential(&mem, image_ea, img),
-            Scenario::ParallelExtract => self.run_parallel(&mem, image_ea, img),
-            Scenario::ParallelReplicated => self.run_replicated(&mem, image_ea, img),
+            Scenario::Sequential | Scenario::ParallelExtract => self.run_schedule(&mem, image),
+            Scenario::ParallelReplicated => self.run_replicated(&mem, image),
         };
-        mem.free(image_ea)?;
+        mem.free(image.0)?;
         self.images += 1;
         result
     }
@@ -494,47 +664,23 @@ impl CellMarvel {
     /// PPE-resident preprocessing behind kernel execution.
     ///
     /// Uses parallel extraction regardless of the configured scenario;
-    /// detection runs on the dedicated CD SPE.
+    /// detection runs on the CD slot's SPE.
     pub fn analyze_batch_pipelined(
         &mut self,
         inputs: &[Compressed],
     ) -> CellResult<Vec<ImageAnalysis>> {
         let mem = Arc::clone(self.ppe.mem());
         let mut results = Vec::new();
-        if inputs.is_empty() {
-            return Ok(results);
-        }
-        let mut staged = Some(self.stage(&mem, &inputs[0])?);
-        let mut next = 1usize;
-        while let Some((image_ea, w, h)) = staged.take() {
-            // Fire all four extractions for the staged image.
-            let mut wrappers = Vec::new();
-            for i in 0..self.kinds.len() {
-                let (kind, spe, ops) = self.kinds[i];
-                let (wrapper, wire) = prepare_extract(&mem, kind, image_ea, w, h)?;
-                let t = self.engine.submit_to_spe(
-                    &mut self.ppe,
-                    spe,
-                    kind.name(),
-                    ops.extract,
-                    wrapper.addr_word()?,
-                )?;
-                wrappers.push((kind, t, wrapper, wire));
-            }
+        let mut rest = inputs.iter();
+        let mut staged = rest.next().map(|c| self.stage(&mem, c)).transpose()?;
+        while let Some(image) = staged.take() {
+            let pending = self.submit_extractions(&mem, &EXTRACTIONS, image)?;
             // Overlap: decode + upload the next image on the PPE.
-            if next < inputs.len() {
-                staged = Some(self.stage(&mem, &inputs[next])?);
-                next += 1;
-            }
+            staged = rest.next().map(|c| self.stage(&mem, c)).transpose()?;
             // Collect this image's features and run its detections.
-            let mut features = Vec::new();
-            for (kind, t, wrapper, wire) in wrappers {
-                self.engine.complete(&mut self.ppe, t)?;
-                features.push((kind, collect_extract(&wrapper, &wire)?));
-                wrapper.free()?;
-            }
+            let features = self.collect_extractions(pending)?;
             let scores = self.detect_sequential(&mem, &features)?;
-            mem.free(image_ea)?;
+            mem.free(image.0)?;
             self.images += 1;
             results.push(ImageAnalysis { features, scores });
         }
@@ -560,12 +706,7 @@ impl CellMarvel {
             /// the span root covers stage→retire for this frame.
             span: u64,
             started: u64,
-            wrappers: Vec<(
-                KernelKind,
-                cell_engine::Ticket,
-                portkit::wrapper::MsgWrapper<'m>,
-                crate::wire::ExtractWire,
-            )>,
+            pending: Vec<PendingExtract<'m>>,
         }
         let mem = Arc::clone(self.ppe.mem());
         let mut results = Vec::new();
@@ -580,25 +721,13 @@ impl CellMarvel {
             if self.frame_spans {
                 self.engine.set_span_context(span)?;
             }
-            let (image_ea, w, h) = self.stage(&mem, input)?;
-            let mut wrappers = Vec::new();
-            for i in 0..self.kinds.len() {
-                let (kind, spe, ops) = self.kinds[i];
-                let (wrapper, wire) = prepare_extract(&mem, kind, image_ea, w, h)?;
-                let t = self.engine.submit_to_spe(
-                    &mut self.ppe,
-                    spe,
-                    kind.name(),
-                    ops.extract,
-                    wrapper.addr_word()?,
-                )?;
-                wrappers.push((kind, t, wrapper, wire));
-            }
+            let image = self.stage(&mem, input)?;
+            let pending = self.submit_extractions(&mem, &EXTRACTIONS, image)?;
             frames.push_back(Frame {
-                image_ea,
+                image_ea: image.0,
                 span,
                 started,
-                wrappers,
+                pending,
             });
             // Keep at most `window` frames in flight per lane; retire the
             // oldest once the pipeline is full (or the input is done).
@@ -609,12 +738,7 @@ impl CellMarvel {
                 if self.frame_spans {
                     self.engine.set_span_context(frame.span)?;
                 }
-                let mut features = Vec::new();
-                for (kind, t, wrapper, wire) in frame.wrappers {
-                    self.engine.complete(&mut self.ppe, t)?;
-                    features.push((kind, collect_extract(&wrapper, &wire)?));
-                    wrapper.free()?;
-                }
+                let features = self.collect_extractions(frame.pending)?;
                 let scores = self.detect_batched(&mem, &features)?;
                 mem.free(frame.image_ea)?;
                 if self.frame_spans {
@@ -637,12 +761,172 @@ impl CellMarvel {
         Ok(results)
     }
 
+    /// Preprocessing on the PPE: decode (costed with the PPE model) plus
+    /// the disk read constant.
+    fn decode(&mut self, input: &Compressed) -> CellResult<ColorImage> {
+        let mut pre = OpProfile::new();
+        let img = codec::decode_counted(input, &mut pre)?;
+        self.ppe.charge(&pre);
+        self.ppe
+            .charge_cycles((DISK_READ_PER_IMAGE * self.ppe.clock.frequency().hertz()) as u64);
+        Ok(img)
+    }
+
+    /// Upload a decoded image to main memory and charge the PPE's wrapper
+    /// fill (Listing 4's FILL_MSG…); returns `(image_ea, width, height)`.
+    fn upload(&mut self, mem: &MainMemory, img: &ColorImage) -> CellResult<(u64, usize, usize)> {
+        let ea = upload_image(mem, img)?;
+        self.ppe.charge_cycles(2_000);
+        Ok((ea, img.width(), img.height()))
+    }
+
+    /// [`CellMarvel::decode`] then [`CellMarvel::upload`].
+    fn stage(&mut self, mem: &MainMemory, input: &Compressed) -> CellResult<(u64, usize, usize)> {
+        let img = self.decode(input)?;
+        self.upload(mem, &img)
+    }
+
+    /// Walk the schedule: its groups run one after another, and a group's
+    /// extractions are all submitted before any is waited on (Fig. 4b is
+    /// one kernel per group, Fig. 4c groups the extractions).
+    fn run_schedule(
+        &mut self,
+        mem: &MainMemory,
+        image: (u64, usize, usize),
+    ) -> CellResult<ImageAnalysis> {
+        let mut features = Vec::new();
+        let mut scores = Vec::new();
+        // Snapshot: a mid-image re-plan changes assignments (the engine
+        // re-routes per slot) but this image keeps the snapshot's group
+        // shape.
+        let groups = self.schedule().groups().to_vec();
+        for group in groups {
+            let extractions: Vec<KernelId> =
+                group.iter().copied().filter(|&k| k != CD_KERNEL).collect();
+            // The engine routes each slot to its assigned SPE and, in the
+            // failover layout, retries lost replies in place and fails a
+            // dead or hung lane over to a survivor (the wrapper is
+            // untouched input, so a re-dispatch recomputes identical
+            // bytes).
+            let pending = self.submit_extractions(mem, &extractions, image)?;
+            features.extend(self.collect_extractions(pending)?);
+            if group.contains(&CD_KERNEL) {
+                scores = self.detect_sequential(mem, &features)?;
+            }
+        }
+        Ok(ImageAnalysis { features, scores })
+    }
+
+    /// Scenario 3: extractions in parallel; as each finishes, its own SPE
+    /// runs the detection for that feature (detection code is replicated).
+    fn run_replicated(
+        &mut self,
+        mem: &MainMemory,
+        image: (u64, usize, usize),
+    ) -> CellResult<ImageAnalysis> {
+        let pending = self.submit_extractions(mem, &EXTRACTIONS, image)?;
+        let mut features = Vec::new();
+        let mut detections = Vec::new();
+        for extraction in pending {
+            let k = extraction.0;
+            let (kind, feature) = self.collect_extraction(extraction)?;
+            let (model_ea, model_bytes) = self.model_ea(kind);
+            let (dw, dwire) = prepare_detect(mem, &feature, model_ea, model_bytes)?;
+            let detect_op = self.ops[k].detect.ok_or_else(|| CellError::BadKernelSpec {
+                message: "replicated scenario needs detect-capable dispatchers".to_string(),
+            })?;
+            let dt =
+                self.engine
+                    .submit(&mut self.ppe, k, kind.name(), detect_op, dw.addr_word()?)?;
+            features.push((kind, feature));
+            detections.push((kind, dt, dw, dwire));
+        }
+        let mut scores = Vec::new();
+        for (kind, dt, dw, dwire) in detections {
+            self.engine.complete(&mut self.ppe, dt)?;
+            scores.push((kind, collect_detect(&dw, &dwire)?));
+            dw.free()?;
+        }
+        Ok(ImageAnalysis { features, scores })
+    }
+
+    /// Fill a wrapper for each extraction slot in `slots` and submit them
+    /// all before waiting on any; the engine routes each slot to its SPE.
+    fn submit_extractions<'m>(
+        &mut self,
+        mem: &'m MainMemory,
+        slots: &[KernelId],
+        (image_ea, width, height): (u64, usize, usize),
+    ) -> CellResult<Vec<PendingExtract<'m>>> {
+        let mut pending = Vec::with_capacity(slots.len());
+        for &k in slots {
+            let kind = EXTRACT_KINDS[k];
+            let (wrapper, wire) = prepare_extract(mem, kind, image_ea, width, height)?;
+            let ticket = self.engine.submit(
+                &mut self.ppe,
+                k,
+                kind.name(),
+                self.ops[k].extract,
+                wrapper.addr_word()?,
+            )?;
+            pending.push((k, ticket, wrapper, wire));
+        }
+        Ok(pending)
+    }
+
+    /// Redeem submitted extractions in submission order.
+    fn collect_extractions(
+        &mut self,
+        pending: Vec<PendingExtract<'_>>,
+    ) -> CellResult<Vec<(KernelKind, Feature)>> {
+        pending
+            .into_iter()
+            .map(|extraction| self.collect_extraction(extraction))
+            .collect()
+    }
+
+    /// Wait for one extraction's reply, read its feature out of the
+    /// wrapper, and free the wrapper.
+    fn collect_extraction(
+        &mut self,
+        (k, ticket, wrapper, wire): PendingExtract<'_>,
+    ) -> CellResult<(KernelKind, Feature)> {
+        self.engine.complete(&mut self.ppe, ticket)?;
+        let feature = collect_extract(&wrapper, &wire)?;
+        wrapper.free()?;
+        Ok((EXTRACT_KINDS[k], feature))
+    }
+
+    /// Score each feature with one round trip on the CD slot's SPE.
+    fn detect_sequential(
+        &mut self,
+        mem: &MainMemory,
+        features: &[(KernelKind, Feature)],
+    ) -> CellResult<Vec<(KernelKind, f32)>> {
+        let mut scores = Vec::new();
+        for (kind, feature) in features {
+            let (model_ea, model_bytes) = self.model_ea(*kind);
+            let (dw, dwire) = prepare_detect(mem, feature, model_ea, model_bytes)?;
+            let t = self.engine.submit(
+                &mut self.ppe,
+                CD_KERNEL,
+                "ConceptDet",
+                self.cd_opcode,
+                dw.addr_word()?,
+            )?;
+            self.engine.complete(&mut self.ppe, t)?;
+            scores.push((*kind, collect_detect(&dw, &dwire)?));
+            dw.free()?;
+        }
+        Ok(scores)
+    }
+
     /// Score all four features in one `SPU_BATCH` round-trip on the CD
     /// SPE. The scores travel back by DMA into the wrappers as usual;
     /// the single reply word only acknowledges the batch.
     fn detect_batched(
         &mut self,
-        mem: &cell_mem::MainMemory,
+        mem: &MainMemory,
         features: &[(KernelKind, Feature)],
     ) -> CellResult<Vec<(KernelKind, f32)>> {
         let mut wrappers = Vec::new();
@@ -653,166 +937,19 @@ impl CellMarvel {
             calls.push((self.cd_opcode, dw.addr_word()?));
             wrappers.push((*kind, dw, dwire));
         }
-        let t =
-            self.engine
-                .submit_batch_to_spe(&mut self.ppe, self.cd_spe, "ConceptDet", &calls)?;
+        let t = self
+            .engine
+            .submit_batch(&mut self.ppe, CD_KERNEL, "ConceptDet", &calls)?;
         let status = self.engine.complete(&mut self.ppe, t)?;
         if status != SPU_OK {
             return Err(CellError::SpeFault {
-                spe: self.cd_spe,
+                spe: self.schedule().spe_of(CD_KERNEL),
                 message: format!("detect batch members failed (mask {status:#b})"),
             });
         }
         let mut scores = Vec::new();
         for (kind, dw, dwire) in wrappers {
             scores.push((kind, collect_detect(&dw, &dwire)?));
-            dw.free()?;
-        }
-        Ok(scores)
-    }
-
-    /// Decode on the PPE and upload to main memory; returns
-    /// `(image_ea, width, height)`.
-    fn stage(
-        &mut self,
-        mem: &cell_mem::MainMemory,
-        input: &Compressed,
-    ) -> CellResult<(u64, usize, usize)> {
-        let mut pre = OpProfile::new();
-        let img = codec::decode_counted(input, &mut pre)?;
-        self.ppe.charge(&pre);
-        self.ppe
-            .charge_cycles((DISK_READ_PER_IMAGE * self.ppe.clock.frequency().hertz()) as u64);
-        let ea = upload_image(mem, &img)?;
-        self.ppe.charge_cycles(2_000);
-        Ok((ea, img.width(), img.height()))
-    }
-
-    fn run_sequential(
-        &mut self,
-        mem: &cell_mem::MainMemory,
-        image_ea: u64,
-        img: &ColorImage,
-    ) -> CellResult<ImageAnalysis> {
-        let mut features = Vec::new();
-        for i in 0..self.kinds.len() {
-            let (kind, spe, ops) = self.kinds[i];
-            let (wrapper, wire) = prepare_extract(mem, kind, image_ea, img.width(), img.height())?;
-            let t = self.engine.submit_to_spe(
-                &mut self.ppe,
-                spe,
-                kind.name(),
-                ops.extract,
-                wrapper.addr_word()?,
-            )?;
-            self.engine.complete(&mut self.ppe, t)?;
-            features.push((kind, collect_extract(&wrapper, &wire)?));
-            wrapper.free()?;
-        }
-        let scores = self.detect_sequential(mem, &features)?;
-        Ok(ImageAnalysis { features, scores })
-    }
-
-    fn run_parallel(
-        &mut self,
-        mem: &cell_mem::MainMemory,
-        image_ea: u64,
-        img: &ColorImage,
-    ) -> CellResult<ImageAnalysis> {
-        // Fire all four extractions before waiting on any (Fig. 4c).
-        let mut wrappers = Vec::new();
-        for i in 0..self.kinds.len() {
-            let (kind, spe, ops) = self.kinds[i];
-            let (wrapper, wire) = prepare_extract(mem, kind, image_ea, img.width(), img.height())?;
-            let t = self.engine.submit_to_spe(
-                &mut self.ppe,
-                spe,
-                kind.name(),
-                ops.extract,
-                wrapper.addr_word()?,
-            )?;
-            wrappers.push((kind, t, wrapper, wire));
-        }
-        let mut features = Vec::new();
-        for (kind, t, wrapper, wire) in wrappers {
-            self.engine.complete(&mut self.ppe, t)?;
-            features.push((kind, collect_extract(&wrapper, &wire)?));
-            wrapper.free()?;
-        }
-        let scores = self.detect_sequential(mem, &features)?;
-        Ok(ImageAnalysis { features, scores })
-    }
-
-    fn run_replicated(
-        &mut self,
-        mem: &cell_mem::MainMemory,
-        image_ea: u64,
-        img: &ColorImage,
-    ) -> CellResult<ImageAnalysis> {
-        // Extractions in parallel; as each finishes, its own SPE runs the
-        // detection for that feature (detection code is replicated).
-        let mut wrappers = Vec::new();
-        for i in 0..self.kinds.len() {
-            let (kind, spe, ops) = self.kinds[i];
-            let (wrapper, wire) = prepare_extract(mem, kind, image_ea, img.width(), img.height())?;
-            let t = self.engine.submit_to_spe(
-                &mut self.ppe,
-                spe,
-                kind.name(),
-                ops.extract,
-                wrapper.addr_word()?,
-            )?;
-            wrappers.push((kind, t, wrapper, wire));
-        }
-        let mut features = Vec::new();
-        let mut detect_wrappers = Vec::new();
-        for (i, (kind, t, wrapper, wire)) in wrappers.into_iter().enumerate() {
-            self.engine.complete(&mut self.ppe, t)?;
-            let feature = collect_extract(&wrapper, &wire)?;
-            wrapper.free()?;
-            let (spe, ops) = (self.kinds[i].1, self.kinds[i].2);
-            let (model_ea, model_bytes) = self.model_ea(kind);
-            let (dw, dwire) = prepare_detect(mem, &feature, model_ea, model_bytes)?;
-            let detect_op = ops.detect.ok_or_else(|| CellError::BadKernelSpec {
-                message: "replicated scenario needs detect-capable dispatchers".to_string(),
-            })?;
-            let dt = self.engine.submit_to_spe(
-                &mut self.ppe,
-                spe,
-                kind.name(),
-                detect_op,
-                dw.addr_word()?,
-            )?;
-            features.push((kind, feature));
-            detect_wrappers.push((kind, dt, dw, dwire));
-        }
-        let mut scores = Vec::new();
-        for (kind, dt, dw, dwire) in detect_wrappers {
-            self.engine.complete(&mut self.ppe, dt)?;
-            scores.push((kind, collect_detect(&dw, &dwire)?));
-            dw.free()?;
-        }
-        Ok(ImageAnalysis { features, scores })
-    }
-
-    fn detect_sequential(
-        &mut self,
-        mem: &cell_mem::MainMemory,
-        features: &[(KernelKind, Feature)],
-    ) -> CellResult<Vec<(KernelKind, f32)>> {
-        let mut scores = Vec::new();
-        for (kind, feature) in features {
-            let (model_ea, model_bytes) = self.model_ea(*kind);
-            let (dw, dwire) = prepare_detect(mem, feature, model_ea, model_bytes)?;
-            let t = self.engine.submit_to_spe(
-                &mut self.ppe,
-                self.cd_spe,
-                "ConceptDet",
-                self.cd_opcode,
-                dw.addr_word()?,
-            )?;
-            self.engine.complete(&mut self.ppe, t)?;
-            scores.push((*kind, collect_detect(&dw, &dwire)?));
             dw.free()?;
         }
         Ok(scores)
@@ -838,18 +975,24 @@ impl CellMarvel {
     /// As [`CellMarvel::finish`], but also assemble the whole-machine
     /// [`TraceReport`]: the PPE track, one track per joined SPE (its
     /// mailbox/DMA/compute events merged by `into_report`), and the EIB
-    /// track. Empty tracks result when tracing was off.
+    /// track. Empty tracks result when tracing was off. Every SPE comes
+    /// back as a report, a crashed or hung one with its fault set (and its
+    /// injected-fault spans in its track).
     pub fn finish_traced(mut self) -> CellResult<(VirtualDuration, Vec<SpeReport>, TraceReport)> {
+        // Politely close the survivors; dead SPEs refuse, which is fine.
         self.engine.close(&mut self.ppe)?;
         let elapsed = self.ppe.elapsed();
         let mut tracks = vec![self.ppe.take_trace()];
+        // Shutdown *before* joining: a hung dispatcher discards SPU_EXIT,
+        // so only closing its mailboxes can wake it; a healthy one still
+        // reads its queued SPU_EXIT from the closed mailbox.
+        self.machine.shutdown();
         let mut reports = Vec::new();
         for h in self.handles {
-            reports.push(h.join()?);
+            reports.push(h.join_report()?);
         }
         tracks.extend(reports.iter().map(|r| r.trace.clone()));
         tracks.push(self.machine.take_eib_trace());
-        self.machine.shutdown();
         Ok((elapsed, reports, TraceReport { tracks }))
     }
 }
@@ -957,6 +1100,17 @@ mod tests {
             par.seconds() < seq.seconds(),
             "parallel {par} should beat sequential {seq}"
         );
+    }
+
+    #[test]
+    fn sequential_scenario_virtual_time_is_pinned() {
+        // Scenario 1 runs one SPE at a time, so its PPE clock is a pure
+        // function of the inputs: pin it to the cycle.
+        let mut cell = CellMarvel::new(Scenario::Sequential, true, 5).unwrap();
+        cell.analyze(&tiny_input(5)).unwrap();
+        cell.analyze(&tiny_input(6)).unwrap();
+        assert_eq!(cell.ppe.clock.now(), 4_570_488);
+        cell.finish().unwrap();
     }
 
     #[test]
@@ -1086,5 +1240,115 @@ mod tests {
         assert_eq!(m.get(KernelKind::Eh).num_vectors(), 210);
         assert_eq!(m.get(KernelKind::Tx).num_vectors(), 255);
         assert!(m.wire_bytes() > 100_000);
+    }
+
+    // ---- the failover layout ------------------------------------------
+
+    #[test]
+    fn fault_free_resilient_run_matches_reference() {
+        let input = tiny_input(11);
+        let mut reference = ReferenceMarvel::new(11);
+        let want = reference.analyze(&input).unwrap();
+        let mut cell = CellMarvel::resilient(true, 11, FaultPlan::new(), TraceConfig::Off).unwrap();
+        let got = cell.analyze(&input).unwrap();
+        for kind in EXTRACT_KINDS {
+            assert_eq!(got.feature(kind), want.feature(kind), "{}", kind.name());
+            let (gs, ws) = (got.score(kind), want.score(kind));
+            assert!((gs - ws).abs() < 1e-3 * ws.abs().max(1.0), "{gs} vs {ws}");
+        }
+        assert_eq!(cell.failovers(), 0);
+        assert_eq!(cell.survivors(), 8);
+        let (elapsed, reports) = cell.finish().unwrap();
+        assert!(elapsed.seconds() > 0.0);
+        assert_eq!(reports.len(), 8);
+        assert!(reports.iter().all(|r| r.fault.is_none()));
+    }
+
+    #[test]
+    fn crashed_spe_fails_over_and_results_are_identical() {
+        let input = tiny_input(12);
+        let mut clean =
+            CellMarvel::resilient(true, 12, FaultPlan::new(), TraceConfig::Off).unwrap();
+        let want = clean.analyze(&input).unwrap();
+        clean.finish().unwrap();
+
+        // SPE 1 (CCExtract's home) dies on its very first dispatch.
+        let plan = FaultPlan::new().crash_spe(1, 1);
+        let mut cell = CellMarvel::resilient(true, 12, plan, TraceConfig::Full).unwrap();
+        let got = cell.analyze(&input).unwrap();
+        assert_eq!(cell.failovers(), 1);
+        assert_eq!(cell.survivors(), 7);
+        assert!(!cell.alive()[1]);
+        assert_ne!(cell.schedule().spe_of(1), 1, "CC must have moved");
+        for kind in EXTRACT_KINDS {
+            assert_eq!(got.feature(kind), want.feature(kind), "{}", kind.name());
+            assert_eq!(got.score(kind), want.score(kind), "{}", kind.name());
+        }
+        let (_, reports, trace) = cell.finish_traced().unwrap();
+        assert!(reports[1]
+            .fault
+            .as_deref()
+            .unwrap()
+            .contains("injected fault"));
+        let failovers: u64 = trace
+            .tracks
+            .iter()
+            .map(|t| t.counters.get(cell_trace::Counter::Failovers))
+            .sum();
+        assert_eq!(failovers, 1);
+    }
+
+    #[test]
+    fn hung_spe_times_out_and_fails_over() {
+        let input = tiny_input(13);
+        let mut clean =
+            CellMarvel::resilient(true, 13, FaultPlan::new(), TraceConfig::Off).unwrap();
+        let want = clean.analyze(&input).unwrap();
+        clean.finish().unwrap();
+
+        // SPE 3 (EHExtract's home) hangs on its first dispatch.
+        let plan = FaultPlan::new().hang_spe(3, 1);
+        let mut cell = CellMarvel::resilient(true, 13, plan, TraceConfig::Off).unwrap();
+        cell.set_policy(RetryPolicy {
+            max_attempts: 2,
+            timeout_cycles: 300_000,
+            ..RetryPolicy::default()
+        });
+        let got = cell.analyze(&input).unwrap();
+        assert_eq!(cell.failovers(), 1);
+        assert!(!cell.alive()[3]);
+        for kind in EXTRACT_KINDS {
+            assert_eq!(got.feature(kind), want.feature(kind), "{}", kind.name());
+        }
+        let (_, reports) = cell.finish().unwrap();
+        // The hung SPE was woken by shutdown, not SPU_EXIT.
+        assert!(reports[3].fault.is_some());
+    }
+
+    #[test]
+    fn degraded_estimate_tracks_survivor_count() {
+        let cell = CellMarvel::resilient(true, 14, FaultPlan::new(), TraceConfig::Off).unwrap();
+        let full = cell.degraded_estimate().unwrap();
+        assert!(
+            (13.0..=18.0).contains(&full),
+            "8-SPE estimate {full:.2} should sit in the paper's ~15.3 band"
+        );
+        // Squeeze to 2 survivors: the wide group serializes, Eq. 3 drops.
+        let specs = paper_kernel_specs();
+        let s2 = cell.schedule().estimate_degraded(&specs, 2).unwrap();
+        assert!(s2 < full, "2 survivors {s2:.2} must be below {full:.2}");
+    }
+
+    #[test]
+    fn universal_opcodes_are_spe_invariant() {
+        // Two independently built universal dispatchers must agree on
+        // every opcode — that is what makes failover re-dispatch legal.
+        let (_d1, o1) = universal_dispatcher(true, ReplyMode::Polling);
+        let (_d2, o2) = universal_dispatcher(false, ReplyMode::Polling);
+        for kind in EXTRACT_KINDS {
+            assert_eq!(o1.opcode(kind), o2.opcode(kind));
+        }
+        assert_eq!(o1.detect, o2.detect);
+        assert_eq!(o1.opcode(KernelKind::Cd), o1.detect);
     }
 }

@@ -28,9 +28,9 @@
 //! * [`wire`] — the wrapper layouts both sides of the DMA boundary share;
 //! * [`kernels`] — the five SPE kernel programs and their PPE stubs;
 //! * [`app`] — the assembled pipeline: reference run, PPE run, and the
-//!   offloaded Cell run under the paper's three scheduling scenarios;
-//! * [`resilient`] — the same pipeline hardened against SPE failures:
-//!   universal dispatchers, retry/timeout stubs, and failover re-planning.
+//!   one offloaded Cell driver, which walks the paper's three scheduling
+//!   scenarios and, in its failover layout, survives SPE failures with
+//!   universal dispatchers, retry/timeout and failover re-planning.
 
 pub mod app;
 pub mod classify;
@@ -39,10 +39,8 @@ pub mod color;
 pub mod features;
 pub mod image;
 pub mod kernels;
-pub mod resilient;
 pub mod retrieval;
 pub mod wire;
 
 pub use app::{CellMarvel, ImageAnalysis, MarvelModels, ReferenceMarvel, Scenario};
 pub use image::{ColorImage, GrayImage};
-pub use resilient::ResilientMarvel;

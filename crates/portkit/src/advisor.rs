@@ -1,5 +1,5 @@
 //! Executable porting advice — the optimization checklists the paper
-//! leans on (§4.1, and Brokenshire's "25 tips", its ref. [7]) as rules
+//! leans on (§4.1, and Brokenshire's "25 tips", its ref. \[7\]) as rules
 //! that inspect an actual porting artifact instead of a PDF.
 //!
 //! Every rule returns [`Advice`] with a severity: `Error` breaks the port
@@ -50,23 +50,13 @@ impl Advice {
         }
     }
 
-    /// Render as one JSON object, with the message escaped by hand so
-    /// reports need no serialization dependency.
+    /// Render as one JSON object, with the message escaped by
+    /// [`cell_trace::escape_json`] so reports need no serialization
+    /// dependency.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut msg = String::with_capacity(self.message.len());
-        for c in self.message.chars() {
-            match c {
-                '"' => msg.push_str("\\\""),
-                '\\' => msg.push_str("\\\\"),
-                '\n' => msg.push_str("\\n"),
-                c if (c as u32) < 0x20 => {
-                    use std::fmt::Write as _;
-                    let _ = write!(msg, "\\u{:04x}", c as u32);
-                }
-                c => msg.push(c),
-            }
-        }
+        cell_trace::escape_json(&self.message, &mut msg);
         format!(
             "{{\"severity\":\"{}\",\"rule\":\"{}\",\"message\":\"{msg}\"}}",
             self.severity.as_str(),

@@ -26,7 +26,7 @@ const RESULT_IN_A: u32 = 0;
 const RESULT_IN_B: u32 = 1;
 
 /// The stencil wrapper's layout alone, for static analysis of the port
-/// (the PPE stub and SPE kernel both build theirs via [`wrapper_layout`],
+/// (the PPE stub and SPE kernel both build theirs via `wrapper_layout`,
 /// so a checker seeing this sees the real ABI).
 pub fn stencil_wrapper_layout() -> CellResult<StructLayout> {
     Ok(wrapper_layout()?.0)

@@ -1,9 +1,9 @@
-//! Chaos run: a seeded fault plan against the resilient MARVEL pipeline.
+//! Chaos run: a seeded fault plan against MARVEL's failover layout.
 //!
 //! Derives a deterministic fault schedule from a seed, runs a batch of
-//! images through [`marvel::ResilientMarvel`], verifies the results are
-//! byte-identical to the fault-free run, prints the recovery story, and
-//! writes the full machine trace (faults + recoveries included) as
+//! images through [`marvel::CellMarvel::resilient`], verifies the results
+//! are byte-identical to the fault-free run, prints the recovery story,
+//! and writes the full machine trace (faults + recoveries included) as
 //! Chrome/Perfetto JSON.
 //!
 //! ```sh
@@ -15,10 +15,9 @@
 
 use cell_fault::FaultPlan;
 use cell_trace::{Counter, EventKind, TraceConfig};
-use marvel::app::EXTRACT_KINDS;
+use marvel::app::{CellMarvel, EXTRACT_KINDS};
 use marvel::codec;
 use marvel::image::ColorImage;
-use marvel::resilient::ResilientMarvel;
 use marvel::ImageAnalysis;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     // Baseline: the fault-free run these results must match bit-for-bit.
-    let mut clean = ResilientMarvel::new(true, seed, FaultPlan::new())?;
+    let mut clean = CellMarvel::resilient(true, seed, FaultPlan::new(), TraceConfig::Off)?;
     let want: Vec<ImageAnalysis> = images
         .iter()
         .map(|c| clean.analyze(c))
@@ -51,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let mut cell = ResilientMarvel::with_trace(true, seed, plan, TraceConfig::Full)?;
+    let mut cell = CellMarvel::resilient(true, seed, plan, TraceConfig::Full)?;
     let got: Vec<ImageAnalysis> = images
         .iter()
         .map(|c| cell.analyze(c))

@@ -1,20 +1,20 @@
-//! Chaos testing the resilient MARVEL pipeline: seeded fault plans kill,
-//! hang, delay, and mute SPEs mid-run, and the results must stay
-//! **byte-identical** to the fault-free run — the kernels are pure, so
-//! retry and failover recompute exactly the same feature vectors.
+//! Chaos testing MARVEL's failover layout (`CellMarvel::resilient`):
+//! seeded fault plans kill, hang, delay, and mute SPEs mid-run, and the
+//! results must stay **byte-identical** to the fault-free run — the
+//! kernels are pure, so retry and failover recompute exactly the same
+//! feature vectors.
 
 use cell_fault::FaultPlan;
 use cell_trace::{Counter, EventKind, TraceConfig, TraceReport};
-use marvel::app::EXTRACT_KINDS;
+use marvel::app::{CellMarvel, EXTRACT_KINDS};
 use marvel::codec::{encode, Compressed};
-use marvel::resilient::ResilientMarvel;
 use marvel::{ColorImage, ImageAnalysis};
 
 fn tiny_input(seed: u64) -> Compressed {
     encode(&ColorImage::synthetic(48, 32, seed).unwrap(), 90)
 }
 
-/// Run `images` through a resilient pipeline with `plan` armed; returns
+/// Run `images` through the failover layout with `plan` armed; returns
 /// the per-image analyses, the machine-wide trace, and the per-SPE fault
 /// strings.
 fn chaos_run(
@@ -22,7 +22,7 @@ fn chaos_run(
     seed: u64,
     images: &[Compressed],
 ) -> (Vec<ImageAnalysis>, TraceReport, Vec<Option<String>>, u64) {
-    let mut cell = ResilientMarvel::with_trace(true, seed, plan, TraceConfig::Full).unwrap();
+    let mut cell = CellMarvel::resilient(true, seed, plan, TraceConfig::Full).unwrap();
     let analyses: Vec<ImageAnalysis> = images
         .iter()
         .map(|input| cell.analyze(input).unwrap())

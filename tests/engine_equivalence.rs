@@ -1,18 +1,20 @@
-//! Engine-equivalence suite: all four PPE drivers now sit on the shared
-//! `cell-engine` offload executor, and this file pins the refactor's
-//! contract — every driver must produce **byte-identical** feature
-//! vectors and scores to the host reference model, under no faults and
-//! under seeded chaos, and the resilient and serving drivers must take
-//! the **same recovery decisions** for the same seed and fault plan
-//! (they used to diverge in timeout/drain handling; the engine is the
-//! single implementation now).
+//! Engine-equivalence suite: every PPE driver sits on the shared
+//! `cell-engine` offload executor, and this file pins that contract for
+//! the MARVEL driver (every scenario, both layouts, both batch paths) and
+//! the serving runtime. Every run must reproduce the host reference
+//! model's feature vectors byte for byte, and every ported run must be
+//! **bit-identical** to every other, under no faults and under seeded
+//! chaos. MARVEL's failover layout and the serving runtime must also take
+//! the **same recovery decisions** for the same seed and fault plan (they
+//! used to diverge in timeout/drain handling; the engine is the single
+//! implementation now).
 
 use cell_engine::{RecoveryEvent, RecoveryKind};
 use cell_fault::FaultPlan;
 use cell_serve::server::{CellServer, Outcome, Request, ServeConfig};
+use cell_trace::TraceConfig;
 use marvel::app::{CellMarvel, ReferenceMarvel, Scenario, EXTRACT_KINDS};
 use marvel::codec::{decode, encode, Compressed};
-use marvel::resilient::ResilientMarvel;
 use marvel::{ColorImage, ImageAnalysis};
 use portkit::recovery::RetryPolicy;
 
@@ -87,8 +89,9 @@ fn baseline_driver_on_the_engine_matches_the_reference_bytes() {
         .map(|input| reference.analyze(input).unwrap())
         .collect();
 
-    // Per-image dispatch must reproduce the reference; the pipelined +
-    // batched engine path must be bit-identical to per-image dispatch.
+    // Per-image scenario-2 dispatch must reproduce the reference; every
+    // other scenario, the failover layout, and the pipelined + batched
+    // engine path must be bit-identical to it.
     let mut cell = CellMarvel::new(Scenario::ParallelExtract, true, 7).unwrap();
     let baseline: Vec<ImageAnalysis> = inputs
         .iter()
@@ -98,6 +101,25 @@ fn baseline_driver_on_the_engine_matches_the_reference_bytes() {
         assert_matches_reference(got, &want[i], &format!("per-image {i}"));
     }
     cell.finish().unwrap();
+
+    // `None` is the fault-free failover layout.
+    for scenario in [
+        Some(Scenario::Sequential),
+        Some(Scenario::ParallelReplicated),
+        None,
+    ] {
+        let mut cell = match scenario {
+            Some(scenario) => CellMarvel::new(scenario, true, 7),
+            None => CellMarvel::resilient(true, 7, FaultPlan::new(), TraceConfig::Off),
+        }
+        .unwrap();
+        let context = scenario.map_or("failover layout".to_string(), |s| format!("{s:?}"));
+        for (i, input) in inputs.iter().enumerate() {
+            let got = cell.analyze(input).unwrap();
+            assert_bit_identical(&got, &baseline[i], &format!("{context} {i}"));
+        }
+        cell.finish().unwrap();
+    }
 
     let mut cell = CellMarvel::new(Scenario::ParallelExtract, true, 7).unwrap();
     let got = cell.analyze_batch_engine(&inputs).unwrap();
@@ -116,9 +138,9 @@ fn resilient_driver_matches_the_reference_under_no_fault_and_chaos() {
         .map(|input| reference.analyze(input).unwrap())
         .collect();
 
-    // The fault-free resilient run doubles as the ported baseline for
+    // The fault-free failover run doubles as the ported baseline for
     // bit-level comparison: the faulty runs must not move a single bit.
-    let mut clean = ResilientMarvel::new(true, 11, FaultPlan::new()).unwrap();
+    let mut clean = CellMarvel::resilient(true, 11, FaultPlan::new(), TraceConfig::Off).unwrap();
     let baseline: Vec<ImageAnalysis> = inputs
         .iter()
         .map(|input| clean.analyze(input).unwrap())
@@ -132,7 +154,7 @@ fn resilient_driver_matches_the_reference_under_no_fault_and_chaos() {
         ("crash", FaultPlan::new().crash_spe(1, 3)),
         ("chaos", FaultPlan::chaos(2007, 8, 3, 12)),
     ] {
-        let mut cell = ResilientMarvel::new(true, 11, plan).unwrap();
+        let mut cell = CellMarvel::resilient(true, 11, plan, TraceConfig::Off).unwrap();
         for (i, input) in inputs.iter().enumerate() {
             let got = cell.analyze(input).unwrap();
             assert_bit_identical(&got, &baseline[i], &format!("{context} image {i}"));
@@ -151,10 +173,11 @@ fn serving_driver_matches_the_reference_under_no_fault_and_chaos() {
         .map(|input| reference.analyze(input).unwrap())
         .collect();
 
-    // The resilient driver is the ported baseline: same universal
+    // The failover layout is the ported baseline: same universal
     // dispatcher kernels, same models, same decoded bytes — the served
     // responses must be bit-identical to it.
-    let mut resilient = ResilientMarvel::new(true, seed, FaultPlan::new()).unwrap();
+    let mut resilient =
+        CellMarvel::resilient(true, seed, FaultPlan::new(), TraceConfig::Off).unwrap();
     let baseline: Vec<ImageAnalysis> = inputs
         .iter()
         .map(|input| resilient.analyze(input).unwrap())
@@ -218,10 +241,10 @@ fn serving_driver_matches_the_reference_under_no_fault_and_chaos() {
 // Divergence regression: same seed + plan → same recovery decisions
 // ---------------------------------------------------------------------
 
-/// The resilient driver's decision stream for `plan` over two images.
+/// The failover layout's decision stream for `plan` over two images.
 fn resilient_decisions(plan: FaultPlan) -> Vec<(RecoveryKind, usize, &'static str)> {
     let inputs: Vec<Compressed> = (0..2).map(|i| tiny_input(930 + i)).collect();
-    let mut cell = ResilientMarvel::new(true, 17, plan).unwrap();
+    let mut cell = CellMarvel::resilient(true, 17, plan, TraceConfig::Off).unwrap();
     for input in &inputs {
         cell.analyze(input).unwrap();
     }
@@ -301,7 +324,7 @@ fn shortened_timeouts_do_not_change_the_decision_stream_shape() {
     // *sequence* is a property of the plan, not of the deadline length.
     let plan = FaultPlan::new().drop_reply(4, 2);
     let inputs: Vec<Compressed> = (0..2).map(|i| tiny_input(930 + i)).collect();
-    let mut cell = ResilientMarvel::new(true, 17, plan).unwrap();
+    let mut cell = CellMarvel::resilient(true, 17, plan, TraceConfig::Off).unwrap();
     cell.set_policy(RetryPolicy {
         timeout_cycles: 400_000,
         ..RetryPolicy::default()

@@ -14,9 +14,10 @@ use cell_isa::{
     native_jacobi, write_header, IsaImage, IsaProgram, KernelHeader, TraceSink, HIST_BINS,
 };
 use cell_sys::{CellMachine, SpeEnv};
+use cell_trace::TraceConfig;
+use marvel::app::CellMarvel;
 use marvel::color::quantize_rgb;
 use marvel::image::ColorImage;
-use marvel::resilient::ResilientMarvel;
 use portkit::dispatcher::KernelDispatcher;
 use portkit::interface::{ReplyMode, SpeInterface};
 
@@ -208,12 +209,18 @@ fn jacobi_image_matches_native_at_a_nonzero_code_base() {
 
 #[test]
 fn hist_backends_agree_during_a_fault_injected_marvel_run() {
-    // A resilient MARVEL run loses an SPE mid-analysis and fails over;
-    // the interpreted backend must stay byte-identical to native on the
-    // very pixels that run quantized. Fault injection perturbs timing
+    // A failover-layout MARVEL run loses an SPE mid-analysis and fails
+    // over; the interpreted backend must stay byte-identical to native on
+    // the very pixels that run quantized. Fault injection perturbs timing
     // and placement, never data — this pins that down at the ISA level.
     let img = ColorImage::synthetic(64, 48, 0x5EED_F417).unwrap();
-    let mut app = ResilientMarvel::new(true, 0xF417, FaultPlan::new().crash_spe(1, 1)).unwrap();
+    let mut app = CellMarvel::resilient(
+        true,
+        0xF417,
+        FaultPlan::new().crash_spe(1, 1),
+        TraceConfig::Off,
+    )
+    .unwrap();
     let analysis = app.analyze_decoded(&img).unwrap();
     assert!(!analysis
         .feature(marvel::features::KernelKind::Ch)

@@ -139,7 +139,8 @@ fn shipped_port_models_are_deadlock_free() {
     models.push(cell_lint::model_marvel(&app, 64, 48).unwrap());
     app.finish().unwrap();
 
-    let app = marvel::resilient::ResilientMarvel::new(true, 7, FaultPlan::new()).unwrap();
+    let app =
+        marvel::app::CellMarvel::resilient(true, 7, FaultPlan::new(), TraceConfig::Off).unwrap();
     models.push(cell_lint::model_resilient(&app, 64, 48).unwrap());
     app.finish().unwrap();
 
