@@ -42,7 +42,7 @@ pub fn fill_bytes(spu: &mut Spu, dst: &mut [u8], value: u8) {
 /// Load an f32 slice element range as a vector (helper; charged as one
 /// odd-pipeline load).
 fn load_f32x4(spu: &mut Spu, data: &[f32], i: usize) -> V128 {
-    let _ = spu.load(&[0u8; 16], 0); // charge the quadword load
+    spu.charge_odd(1);
     V128::from_f32x4([data[i], data[i + 1], data[i + 2], data[i + 3]])
 }
 
@@ -97,8 +97,7 @@ pub fn axpy_f32(spu: &mut Spu, alpha: f32, x: &[f32], y: &mut [f32]) {
         let vy = load_f32x4(spu, y, i);
         let r = spu.madd_f32(va, vx, vy).as_f32x4();
         y[i..i + 4].copy_from_slice(&r);
-        let mut sink = [0u8; 16];
-        spu.store(V128::zero(), &mut sink, 0);
+        spu.charge_odd(1); // the quadword store
         i += 4;
     }
     for j in full..x.len() {
@@ -198,6 +197,9 @@ mod tests {
         let mut y = floats(37, 4);
         let y0 = y.clone();
         axpy_f32(&mut spu, 2.5, &x, &mut y);
+        // 9 quads × (2 loads + FMA + store), then a 1-element scalar tail.
+        let c = spu.counters();
+        assert_eq!((c.even, c.odd, c.scalar), (9, 27, 2));
         for i in 0..37 {
             assert_eq!(
                 y[i].to_bits(),
@@ -239,7 +241,8 @@ mod tests {
         let b = floats(1024, 8);
         let _ = dot_f32(&mut spu, &a, &b);
         let c = spu.counters();
-        // ~3 issues per 4 elements (2 loads + 1 FMA).
+        // 256 quads × (2 loads + 1 FMA), then the horizontal sum.
+        assert_eq!((c.even, c.odd), (258, 514));
         let per_elem = (c.even + c.odd) as f64 / 1024.0;
         assert!(per_elem < 1.0, "{per_elem:.2} issues/element");
     }

@@ -18,6 +18,14 @@
 //! issue sequence a compiler would emit (reciprocal estimate + Newton
 //! steps, shuffle/add ladders), so profiles stay honest without forcing
 //! kernels to spell out every instruction.
+//!
+//! [`Spu::charge_even`] and [`Spu::charge_odd`] go one step further: they
+//! only charge. A kernel may compute its result in plain host code and
+//! charge the issue sequence of the SPU code it models in bulk, as long as
+//! every `charge_compute` slice keeps the per-pipe totals the per-op
+//! sequence would have produced — cycles are computed per slice from that
+//! slice's counter delta. Every method is `#[inline]`: the workspace
+//! builds without LTO, and a charged issue should cost the host one add.
 
 use crate::counters::SpuCounters;
 use crate::v128::V128;
@@ -29,6 +37,7 @@ pub struct Spu {
 }
 
 impl Spu {
+    #[inline]
     pub fn new() -> Self {
         Spu {
             c: SpuCounters::new(),
@@ -36,23 +45,39 @@ impl Spu {
     }
 
     /// Current tally.
+    #[inline]
     pub fn counters(&self) -> SpuCounters {
         self.c
     }
 
     /// Take the tally, resetting it.
+    #[inline]
     pub fn take_counters(&mut self) -> SpuCounters {
         std::mem::take(&mut self.c)
     }
 
+    /// Charge `n` even-pipeline issues without computing anything: the
+    /// entry point for a kernel whose functional result comes from plain
+    /// host code (see the module docs for the contract).
+    #[inline]
+    pub fn charge_even(&mut self, n: u64) {
+        self.c.even += n;
+    }
+
+    /// Charge `n` odd-pipeline issues without computing anything.
+    #[inline]
+    pub fn charge_odd(&mut self, n: u64) {
+        self.c.odd += n;
+    }
+
     #[inline]
     fn even(&mut self) {
-        self.c.even += 1;
+        self.charge_even(1);
     }
 
     #[inline]
     fn odd(&mut self) {
-        self.c.odd += 1;
+        self.charge_odd(1);
     }
 
     // =====================================================================
@@ -60,6 +85,7 @@ impl Spu {
     // =====================================================================
 
     /// Wrapping byte add.
+    #[inline]
     pub fn add_u8(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u8x16(), b.as_u8x16());
@@ -67,6 +93,7 @@ impl Spu {
     }
 
     /// Saturating byte add.
+    #[inline]
     pub fn adds_u8(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u8x16(), b.as_u8x16());
@@ -74,6 +101,7 @@ impl Spu {
     }
 
     /// Wrapping byte subtract.
+    #[inline]
     pub fn sub_u8(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u8x16(), b.as_u8x16());
@@ -81,6 +109,7 @@ impl Spu {
     }
 
     /// Saturating byte subtract.
+    #[inline]
     pub fn subs_u8(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u8x16(), b.as_u8x16());
@@ -88,6 +117,7 @@ impl Spu {
     }
 
     /// Rounded byte average (`avgb`).
+    #[inline]
     pub fn avg_u8(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u8x16(), b.as_u8x16());
@@ -97,18 +127,21 @@ impl Spu {
     }
 
     /// Absolute byte difference (`absdb`).
+    #[inline]
     pub fn absdiff_u8(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u8x16(), b.as_u8x16());
         V128::from_u8x16(std::array::from_fn(|i| a[i].abs_diff(b[i])))
     }
 
+    #[inline]
     pub fn min_u8(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u8x16(), b.as_u8x16());
         V128::from_u8x16(std::array::from_fn(|i| a[i].min(b[i])))
     }
 
+    #[inline]
     pub fn max_u8(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u8x16(), b.as_u8x16());
@@ -116,6 +149,7 @@ impl Spu {
     }
 
     /// Byte equality: 0xFF where equal.
+    #[inline]
     pub fn cmpeq_u8(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u8x16(), b.as_u8x16());
@@ -123,6 +157,7 @@ impl Spu {
     }
 
     /// Unsigned byte greater-than: 0xFF where `a > b`.
+    #[inline]
     pub fn cmpgt_u8(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u8x16(), b.as_u8x16());
@@ -130,6 +165,7 @@ impl Spu {
     }
 
     /// `sumb`: sum groups of four bytes into the four u32 lanes.
+    #[inline]
     pub fn sum4_u8(&mut self, a: V128) -> V128 {
         self.even();
         let b = a.as_u8x16();
@@ -139,6 +175,7 @@ impl Spu {
     }
 
     /// Signed byte add (wrapping).
+    #[inline]
     pub fn add_i8(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_i8x16(), b.as_i8x16());
@@ -146,6 +183,7 @@ impl Spu {
     }
 
     /// Signed byte greater-than mask.
+    #[inline]
     pub fn cmpgt_i8(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_i8x16(), b.as_i8x16());
@@ -153,6 +191,7 @@ impl Spu {
     }
 
     /// Per-byte population count (`cntb`).
+    #[inline]
     pub fn cntb(&mut self, a: V128) -> V128 {
         self.even();
         V128::from_u8x16(a.as_u8x16().map(|b| b.count_ones() as u8))
@@ -162,30 +201,35 @@ impl Spu {
     // Even pipeline: halfword arithmetic
     // =====================================================================
 
+    #[inline]
     pub fn add_u16(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u16x8(), b.as_u16x8());
         V128::from_u16x8(std::array::from_fn(|i| a[i].wrapping_add(b[i])))
     }
 
+    #[inline]
     pub fn adds_u16(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u16x8(), b.as_u16x8());
         V128::from_u16x8(std::array::from_fn(|i| a[i].saturating_add(b[i])))
     }
 
+    #[inline]
     pub fn sub_u16(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u16x8(), b.as_u16x8());
         V128::from_u16x8(std::array::from_fn(|i| a[i].wrapping_sub(b[i])))
     }
 
+    #[inline]
     pub fn add_i16(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_i16x8(), b.as_i16x8());
         V128::from_i16x8(std::array::from_fn(|i| a[i].wrapping_add(b[i])))
     }
 
+    #[inline]
     pub fn sub_i16(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_i16x8(), b.as_i16x8());
@@ -193,6 +237,7 @@ impl Spu {
     }
 
     /// Low 16 bits of the lane-wise product.
+    #[inline]
     pub fn mul_u16(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u16x8(), b.as_u16x8());
@@ -201,24 +246,28 @@ impl Spu {
 
     /// `mpy`-style widening multiply of the even halfword lanes:
     /// `a[2i] * b[2i]` into u32 lane `i`.
+    #[inline]
     pub fn mul_even_u16(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u16x8(), b.as_u16x8());
         V128::from_u32x4(std::array::from_fn(|i| a[i * 2] as u32 * b[i * 2] as u32))
     }
 
+    #[inline]
     pub fn min_u16(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u16x8(), b.as_u16x8());
         V128::from_u16x8(std::array::from_fn(|i| a[i].min(b[i])))
     }
 
+    #[inline]
     pub fn max_u16(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u16x8(), b.as_u16x8());
         V128::from_u16x8(std::array::from_fn(|i| a[i].max(b[i])))
     }
 
+    #[inline]
     pub fn cmpeq_u16(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u16x8(), b.as_u16x8());
@@ -227,6 +276,7 @@ impl Spu {
         ))
     }
 
+    #[inline]
     pub fn cmpgt_u16(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u16x8(), b.as_u16x8());
@@ -235,6 +285,7 @@ impl Spu {
         ))
     }
 
+    #[inline]
     pub fn cmpgt_i16(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_i16x8(), b.as_i16x8());
@@ -244,6 +295,7 @@ impl Spu {
     }
 
     /// Shift each halfword left by an immediate.
+    #[inline]
     pub fn shl_u16(&mut self, a: V128, n: u32) -> V128 {
         self.even();
         let a = a.as_u16x8();
@@ -251,6 +303,7 @@ impl Spu {
     }
 
     /// Logical right shift of each halfword by an immediate.
+    #[inline]
     pub fn shr_u16(&mut self, a: V128, n: u32) -> V128 {
         self.even();
         let a = a.as_u16x8();
@@ -258,6 +311,7 @@ impl Spu {
     }
 
     /// Arithmetic right shift of each signed halfword.
+    #[inline]
     pub fn sar_i16(&mut self, a: V128, n: u32) -> V128 {
         self.even();
         let a = a.as_i16x8();
@@ -266,6 +320,7 @@ impl Spu {
     }
 
     /// Signed halfword min.
+    #[inline]
     pub fn min_i16(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_i16x8(), b.as_i16x8());
@@ -273,6 +328,7 @@ impl Spu {
     }
 
     /// Signed halfword max.
+    #[inline]
     pub fn max_i16(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_i16x8(), b.as_i16x8());
@@ -281,6 +337,7 @@ impl Spu {
 
     /// Signed halfword absolute value (compare + select on silicon; one
     /// composite issue pair here).
+    #[inline]
     pub fn abs_i16(&mut self, a: V128) -> V128 {
         self.c.even += 2;
         V128::from_i16x8(a.as_i16x8().map(i16::wrapping_abs))
@@ -290,24 +347,28 @@ impl Spu {
     // Even pipeline: word arithmetic
     // =====================================================================
 
+    #[inline]
     pub fn add_u32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u32x4(), b.as_u32x4());
         V128::from_u32x4(std::array::from_fn(|i| a[i].wrapping_add(b[i])))
     }
 
+    #[inline]
     pub fn sub_u32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u32x4(), b.as_u32x4());
         V128::from_u32x4(std::array::from_fn(|i| a[i].wrapping_sub(b[i])))
     }
 
+    #[inline]
     pub fn add_i32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_i32x4(), b.as_i32x4());
         V128::from_i32x4(std::array::from_fn(|i| a[i].wrapping_add(b[i])))
     }
 
+    #[inline]
     pub fn sub_i32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_i32x4(), b.as_i32x4());
@@ -315,24 +376,28 @@ impl Spu {
     }
 
     /// Low 32 bits of the lane-wise product.
+    #[inline]
     pub fn mul_u32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u32x4(), b.as_u32x4());
         V128::from_u32x4(std::array::from_fn(|i| a[i].wrapping_mul(b[i])))
     }
 
+    #[inline]
     pub fn min_u32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u32x4(), b.as_u32x4());
         V128::from_u32x4(std::array::from_fn(|i| a[i].min(b[i])))
     }
 
+    #[inline]
     pub fn max_u32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u32x4(), b.as_u32x4());
         V128::from_u32x4(std::array::from_fn(|i| a[i].max(b[i])))
     }
 
+    #[inline]
     pub fn cmpeq_u32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u32x4(), b.as_u32x4());
@@ -341,6 +406,7 @@ impl Spu {
         ))
     }
 
+    #[inline]
     pub fn cmpgt_u32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u32x4(), b.as_u32x4());
@@ -349,6 +415,7 @@ impl Spu {
         ))
     }
 
+    #[inline]
     pub fn cmpgt_i32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_i32x4(), b.as_i32x4());
@@ -357,18 +424,21 @@ impl Spu {
         ))
     }
 
+    #[inline]
     pub fn shl_u32(&mut self, a: V128, n: u32) -> V128 {
         self.even();
         let a = a.as_u32x4();
         V128::from_u32x4(std::array::from_fn(|i| if n < 32 { a[i] << n } else { 0 }))
     }
 
+    #[inline]
     pub fn shr_u32(&mut self, a: V128, n: u32) -> V128 {
         self.even();
         let a = a.as_u32x4();
         V128::from_u32x4(std::array::from_fn(|i| if n < 32 { a[i] >> n } else { 0 }))
     }
 
+    #[inline]
     pub fn sar_i32(&mut self, a: V128, n: u32) -> V128 {
         self.even();
         let a = a.as_i32x4();
@@ -377,6 +447,7 @@ impl Spu {
     }
 
     /// Signed word min.
+    #[inline]
     pub fn min_i32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_i32x4(), b.as_i32x4());
@@ -384,6 +455,7 @@ impl Spu {
     }
 
     /// Signed word max.
+    #[inline]
     pub fn max_i32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_i32x4(), b.as_i32x4());
@@ -391,6 +463,7 @@ impl Spu {
     }
 
     /// Per-word count leading zeros (`clz`).
+    #[inline]
     pub fn clz_u32(&mut self, a: V128) -> V128 {
         self.even();
         V128::from_u32x4(a.as_u32x4().map(u32::leading_zeros))
@@ -398,6 +471,7 @@ impl Spu {
 
     /// Per-word variable rotate left (`rot`): each lane rotates by the
     /// low 5 bits of the corresponding lane of `n`.
+    #[inline]
     pub fn rotl_u32(&mut self, a: V128, n: V128) -> V128 {
         self.even();
         let (a, n) = (a.as_u32x4(), n.as_u32x4());
@@ -408,18 +482,21 @@ impl Spu {
     // Even pipeline: bitwise and select
     // =====================================================================
 
+    #[inline]
     pub fn and(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.to_bytes(), b.to_bytes());
         V128::from_bytes(std::array::from_fn(|i| a[i] & b[i]))
     }
 
+    #[inline]
     pub fn or(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.to_bytes(), b.to_bytes());
         V128::from_bytes(std::array::from_fn(|i| a[i] | b[i]))
     }
 
+    #[inline]
     pub fn xor(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.to_bytes(), b.to_bytes());
@@ -427,6 +504,7 @@ impl Spu {
     }
 
     /// `a & !b` (`andc`).
+    #[inline]
     pub fn andc(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.to_bytes(), b.to_bytes());
@@ -434,6 +512,7 @@ impl Spu {
     }
 
     /// Bit select (`selb`): mask bit 1 takes from `b`, 0 from `a`.
+    #[inline]
     pub fn selb(&mut self, a: V128, b: V128, mask: V128) -> V128 {
         self.even();
         let (a, b, m) = (a.to_bytes(), b.to_bytes(), mask.to_bytes());
@@ -444,18 +523,21 @@ impl Spu {
     // Even pipeline: single-precision float
     // =====================================================================
 
+    #[inline]
     pub fn add_f32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_f32x4(), b.as_f32x4());
         V128::from_f32x4(std::array::from_fn(|i| a[i] + b[i]))
     }
 
+    #[inline]
     pub fn sub_f32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_f32x4(), b.as_f32x4());
         V128::from_f32x4(std::array::from_fn(|i| a[i] - b[i]))
     }
 
+    #[inline]
     pub fn mul_f32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_f32x4(), b.as_f32x4());
@@ -463,6 +545,7 @@ impl Spu {
     }
 
     /// Fused multiply-add `a*b + c` (`fma`) — the SPE's workhorse.
+    #[inline]
     pub fn madd_f32(&mut self, a: V128, b: V128, c: V128) -> V128 {
         self.even();
         let (a, b, c) = (a.as_f32x4(), b.as_f32x4(), c.as_f32x4());
@@ -470,29 +553,34 @@ impl Spu {
     }
 
     /// Fused multiply-subtract `a*b - c` (`fms`).
+    #[inline]
     pub fn msub_f32(&mut self, a: V128, b: V128, c: V128) -> V128 {
         self.even();
         let (a, b, c) = (a.as_f32x4(), b.as_f32x4(), c.as_f32x4());
         V128::from_f32x4(std::array::from_fn(|i| a[i].mul_add(b[i], -c[i])))
     }
 
+    #[inline]
     pub fn min_f32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_f32x4(), b.as_f32x4());
         V128::from_f32x4(std::array::from_fn(|i| a[i].min(b[i])))
     }
 
+    #[inline]
     pub fn max_f32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_f32x4(), b.as_f32x4());
         V128::from_f32x4(std::array::from_fn(|i| a[i].max(b[i])))
     }
 
+    #[inline]
     pub fn abs_f32(&mut self, a: V128) -> V128 {
         self.even();
         V128::from_f32x4(a.as_f32x4().map(f32::abs))
     }
 
+    #[inline]
     pub fn cmpgt_f32(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_f32x4(), b.as_f32x4());
@@ -504,6 +592,7 @@ impl Spu {
     /// Reciprocal via estimate + two Newton-Raphson steps
     /// (`frest`+`fi`+NR): 4 even issues, accuracy ~1e-6 relative like real
     /// SPU sequences.
+    #[inline]
     pub fn recip_f32(&mut self, a: V128) -> V128 {
         self.c.even += 4;
         V128::from_f32x4(a.as_f32x4().map(|x| {
@@ -516,6 +605,7 @@ impl Spu {
     }
 
     /// Division composed from reciprocal + multiply: 4 even issues.
+    #[inline]
     pub fn div_f32(&mut self, a: V128, b: V128) -> V128 {
         self.c.even += 4;
         let (a, b) = (a.as_f32x4(), b.as_f32x4());
@@ -524,6 +614,7 @@ impl Spu {
 
     /// Square root composed from rsqrt estimate + Newton + multiply:
     /// 4 even issues.
+    #[inline]
     pub fn sqrt_f32(&mut self, a: V128) -> V128 {
         self.c.even += 4;
         V128::from_f32x4(a.as_f32x4().map(f32::sqrt))
@@ -531,6 +622,7 @@ impl Spu {
 
     /// Vector exponential: the polynomial + exponent-assembly sequence SPE
     /// math libraries use (≈8 even issues for 4 lanes).
+    #[inline]
     pub fn exp_f32(&mut self, a: V128) -> V128 {
         self.c.even += 8;
         V128::from_f32x4(a.as_f32x4().map(f32::exp))
@@ -538,18 +630,21 @@ impl Spu {
 
     /// Scalar exponential in a vector register (same 8-issue sequence, one
     /// useful lane).
+    #[inline]
     pub fn exp_scalar_f32(&mut self, x: f32) -> f32 {
         self.c.even += 8;
         x.exp()
     }
 
     /// Convert signed words to floats (`csflt`).
+    #[inline]
     pub fn cvt_i32_f32(&mut self, a: V128) -> V128 {
         self.even();
         V128::from_f32x4(a.as_i32x4().map(|x| x as f32))
     }
 
     /// Convert floats to signed words, truncating (`cflts`).
+    #[inline]
     pub fn cvt_f32_i32(&mut self, a: V128) -> V128 {
         self.even();
         V128::from_i32x4(a.as_f32x4().map(|x| x as i32))
@@ -559,18 +654,21 @@ impl Spu {
     // Double precision (slow path: 2 ops / 7 cycles on silicon)
     // =====================================================================
 
+    #[inline]
     pub fn add_f64(&mut self, a: V128, b: V128) -> V128 {
         self.c.double += 1;
         let (a, b) = (a.as_f64x2(), b.as_f64x2());
         V128::from_f64x2([a[0] + b[0], a[1] + b[1]])
     }
 
+    #[inline]
     pub fn mul_f64(&mut self, a: V128, b: V128) -> V128 {
         self.c.double += 1;
         let (a, b) = (a.as_f64x2(), b.as_f64x2());
         V128::from_f64x2([a[0] * b[0], a[1] * b[1]])
     }
 
+    #[inline]
     pub fn madd_f64(&mut self, a: V128, b: V128, c: V128) -> V128 {
         self.c.double += 1;
         let (a, b, c) = (a.as_f64x2(), b.as_f64x2(), c.as_f64x2());
@@ -583,12 +681,14 @@ impl Spu {
 
     /// Load a quadword from a byte slice (`lqd`). `offset` must be within
     /// bounds with 16 bytes of headroom.
+    #[inline]
     pub fn load(&mut self, buf: &[u8], offset: usize) -> V128 {
         self.odd();
         V128::from_slice(&buf[offset..])
     }
 
     /// Store a quadword (`stqd`).
+    #[inline]
     pub fn store(&mut self, v: V128, buf: &mut [u8], offset: usize) {
         self.odd();
         v.write_to(&mut buf[offset..]);
@@ -597,6 +697,7 @@ impl Spu {
     /// Byte shuffle (`shufb`): each pattern byte selects from the 32-byte
     /// concatenation `a ‖ b` by its low 5 bits; bytes with the top bit set
     /// produce zero (a simplification of the SPU's special codes).
+    #[inline]
     pub fn shufb(&mut self, a: V128, b: V128, pattern: V128) -> V128 {
         self.odd();
         let (a, b, p) = (a.to_bytes(), b.to_bytes(), pattern.to_bytes());
@@ -616,6 +717,7 @@ impl Spu {
     }
 
     /// Rotate the quadword left by `n` bytes (`rotqby`).
+    #[inline]
     pub fn rot_bytes(&mut self, a: V128, n: usize) -> V128 {
         self.odd();
         let b = a.to_bytes();
@@ -625,6 +727,7 @@ impl Spu {
 
     /// Shift the whole quadword left by `n` bytes, zero-filling
     /// (`shlqby`). Shifts of 16+ clear the register.
+    #[inline]
     pub fn shl_bytes(&mut self, a: V128, n: usize) -> V128 {
         self.odd();
         let b = a.to_bytes();
@@ -634,6 +737,7 @@ impl Spu {
     }
 
     /// Shift the whole quadword right by `n` bytes, zero-filling.
+    #[inline]
     pub fn shr_bytes(&mut self, a: V128, n: usize) -> V128 {
         self.odd();
         let b = a.to_bytes();
@@ -642,6 +746,7 @@ impl Spu {
 
     /// OR across the four words into lane 0 (`orx`) — the idiomatic "did
     /// any lane match" reduction after a compare.
+    #[inline]
     pub fn orx(&mut self, a: V128) -> V128 {
         self.odd();
         let l = a.as_u32x4();
@@ -650,6 +755,7 @@ impl Spu {
 
     /// Table lookup: bytes of `idx` (low 4 bits) select from `table`'s 16
     /// bytes. One shuffle issue — the core of SIMD quantization.
+    #[inline]
     pub fn lookup16_u8(&mut self, table: V128, idx: V128) -> V128 {
         self.odd();
         let (t, ix) = (table.to_bytes(), idx.to_bytes());
@@ -658,6 +764,7 @@ impl Spu {
 
     /// Interleave the low 8 bytes of `a` with zeros, widening to u16 lanes
     /// (a `shufb` in real code).
+    #[inline]
     pub fn unpack_lo_u8_u16(&mut self, a: V128) -> V128 {
         self.odd();
         let b = a.as_u8x16();
@@ -665,6 +772,7 @@ impl Spu {
     }
 
     /// Widen the high 8 bytes to u16 lanes.
+    #[inline]
     pub fn unpack_hi_u8_u16(&mut self, a: V128) -> V128 {
         self.odd();
         let b = a.as_u8x16();
@@ -673,6 +781,7 @@ impl Spu {
 
     /// Pack two u16x8 registers into one u8x16 with saturation. Charged to
     /// the even pipeline like the real saturating pack.
+    #[inline]
     pub fn pack_u16_u8_sat(&mut self, a: V128, b: V128) -> V128 {
         self.even();
         let (a, b) = (a.as_u16x8(), b.as_u16x8());
@@ -683,26 +792,31 @@ impl Spu {
     }
 
     /// Extract one byte lane (rotate + move on silicon → odd issue).
+    #[inline]
     pub fn extract_u8(&mut self, a: V128, lane: usize) -> u8 {
         self.odd();
         a.as_u8x16()[lane]
     }
 
+    #[inline]
     pub fn extract_u16(&mut self, a: V128, lane: usize) -> u16 {
         self.odd();
         a.as_u16x8()[lane]
     }
 
+    #[inline]
     pub fn extract_u32(&mut self, a: V128, lane: usize) -> u32 {
         self.odd();
         a.as_u32x4()[lane]
     }
 
+    #[inline]
     pub fn extract_f32(&mut self, a: V128, lane: usize) -> f32 {
         self.odd();
         a.as_f32x4()[lane]
     }
 
+    #[inline]
     pub fn insert_u8(&mut self, a: V128, lane: usize, v: u8) -> V128 {
         self.odd();
         let mut b = a.as_u8x16();
@@ -710,6 +824,7 @@ impl Spu {
         V128::from_u8x16(b)
     }
 
+    #[inline]
     pub fn insert_u32(&mut self, a: V128, lane: usize, v: u32) -> V128 {
         self.odd();
         let mut b = a.as_u32x4();
@@ -717,6 +832,7 @@ impl Spu {
         V128::from_u32x4(b)
     }
 
+    #[inline]
     pub fn insert_f32(&mut self, a: V128, lane: usize, v: f32) -> V128 {
         self.odd();
         let mut b = a.as_f32x4();
@@ -729,6 +845,7 @@ impl Spu {
     // =====================================================================
 
     /// Sum the four f32 lanes: two shuffles (odd) + two adds (even).
+    #[inline]
     pub fn hsum_f32(&mut self, a: V128) -> f32 {
         self.c.odd += 2;
         self.c.even += 2;
@@ -737,6 +854,7 @@ impl Spu {
     }
 
     /// Sum the four u32 lanes.
+    #[inline]
     pub fn hsum_u32(&mut self, a: V128) -> u32 {
         self.c.odd += 2;
         self.c.even += 2;
@@ -747,6 +865,7 @@ impl Spu {
     }
 
     /// Sum all 16 bytes: `sumb` + horizontal u32 sum.
+    #[inline]
     pub fn hsum_u8(&mut self, a: V128) -> u32 {
         let quads = self.sum4_u8(a);
         self.hsum_u32(quads)
@@ -754,6 +873,7 @@ impl Spu {
 
     /// Count 0xFF-mask lanes set in a byte comparison result:
     /// mask & 1-splat, then horizontal sum.
+    #[inline]
     pub fn count_mask_u8(&mut self, mask: V128) -> u32 {
         let one = V128::splat_u8(1);
         let bits = self.and(mask, one);
@@ -765,12 +885,14 @@ impl Spu {
     // =====================================================================
 
     /// A hinted or statically predictable branch.
+    #[inline]
     pub fn branch(&mut self) {
         self.c.branches += 1;
     }
 
     /// A data-dependent branch with no useful hint (cost models charge the
     /// 18-cycle penalty on a miss fraction of these).
+    #[inline]
     pub fn branch_hard(&mut self) {
         self.c.branches_hard += 1;
     }
@@ -780,38 +902,45 @@ impl Spu {
     // =====================================================================
 
     /// Record `n` scalar operations executed in vector registers.
+    #[inline]
     pub fn scalar_op(&mut self, n: u64) {
         self.c.scalar += n;
     }
 
     /// Scalar byte load with the scalar-in-vector penalty.
+    #[inline]
     pub fn scalar_load_u8(&mut self, buf: &[u8], idx: usize) -> u8 {
         self.c.scalar += 1;
         buf[idx]
     }
 
     /// Scalar byte store with the scalar-in-vector penalty.
+    #[inline]
     pub fn scalar_store_u8(&mut self, buf: &mut [u8], idx: usize, v: u8) {
         self.c.scalar += 1;
         buf[idx] = v;
     }
 
     /// Scalar u32 load from a u32 view of a byte buffer.
+    #[inline]
     pub fn scalar_load_u32(&mut self, buf: &[u8], byte_idx: usize) -> u32 {
         self.c.scalar += 1;
         u32::from_le_bytes(buf[byte_idx..byte_idx + 4].try_into().unwrap())
     }
 
+    #[inline]
     pub fn scalar_store_u32(&mut self, buf: &mut [u8], byte_idx: usize, v: u32) {
         self.c.scalar += 1;
         buf[byte_idx..byte_idx + 4].copy_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     pub fn scalar_load_f32(&mut self, buf: &[u8], byte_idx: usize) -> f32 {
         self.c.scalar += 1;
         f32::from_le_bytes(buf[byte_idx..byte_idx + 4].try_into().unwrap())
     }
 
+    #[inline]
     pub fn scalar_store_f32(&mut self, buf: &mut [u8], byte_idx: usize, v: f32) {
         self.c.scalar += 1;
         buf[byte_idx..byte_idx + 4].copy_from_slice(&v.to_le_bytes());
@@ -1118,9 +1247,11 @@ mod tests {
     fn take_counters_resets() {
         let mut s = spu();
         s.add_u8(V128::zero(), V128::zero());
+        s.charge_even(4);
+        s.charge_odd(3);
         let c = s.take_counters();
-        assert_eq!(c.even, 1);
-        assert_eq!(s.counters().even, 0);
+        assert_eq!((c.even, c.odd, c.total()), (5, 3, 8));
+        assert_eq!(s.counters(), SpuCounters::default());
     }
 
     #[test]

@@ -1001,6 +1001,7 @@ impl CellMarvel {
 mod tests {
     use super::*;
     use crate::codec::encode;
+    use cell_spu::SpuCounters;
 
     fn tiny_input(seed: u64) -> Compressed {
         encode(&ColorImage::synthetic(48, 32, seed).unwrap(), 90)
@@ -1111,6 +1112,88 @@ mod tests {
         cell.analyze(&tiny_input(6)).unwrap();
         assert_eq!(cell.ppe.clock.now(), 4_570_488);
         cell.finish().unwrap();
+    }
+
+    #[test]
+    fn sequential_spu_issue_counts_are_pinned() {
+        // Kernels compute in host code and charge their SPU issue
+        // sequences in bulk (cell-spu's charging contract). These are the
+        // tallies of the op-by-op SPU sequences, so a bulk charge that
+        // drifts fails here. 100 is not a multiple of 16, so the
+        // partial-block and scalar-tail charges run too; the paper's 352
+        // never reaches them.
+        let counts = |w, h, optimized| {
+            let mut cell = CellMarvel::new(Scenario::Sequential, optimized, 18).unwrap();
+            let frame = encode(&ColorImage::synthetic(w, h, 18).unwrap(), 90);
+            cell.analyze(&frame).unwrap();
+            let clock = cell.ppe.clock.now();
+            let (_, reports) = cell.finish().unwrap();
+            let tallies: Vec<_> = reports.iter().map(|r| r.counters).collect();
+            (clock, tallies)
+        };
+        let c = |even, odd, scalar, branches, branches_hard| SpuCounters {
+            even,
+            odd,
+            scalar,
+            branches,
+            branches_hard,
+            double: 0,
+        };
+        let cd = c(51_882, 44_874, 6_624, 0, 0);
+        let pinned = [
+            (
+                // Narrower than 18: EH's scalar Sobel path.
+                (16, 12, true),
+                2_066_756,
+                [
+                    c(372, 480, 166, 192, 0),
+                    c(4_932, 2_712, 166, 0, 0),
+                    c(540, 258, 10, 0, 0),
+                    c(130, 140, 3_440, 0, 0),
+                    cd,
+                ],
+            ),
+            (
+                (100, 75, true),
+                3_521_038,
+                [
+                    c(14_025, 18_450, 7_366, 7_500, 0),
+                    c(306_907, 164_118, 8_902, 0, 0),
+                    c(19_980, 9_546, 3_710, 0, 0),
+                    c(60_319, 14_329, 2_852, 0, 0),
+                    cd,
+                ],
+            ),
+            (
+                (100, 75, false),
+                41_352_906,
+                [
+                    c(12_150, 7_200, 22_366, 7_500, 0),
+                    c(0, 0, 4_163_934, 0, 1_967_584),
+                    c(0, 0, 96_210, 0, 0),
+                    c(0, 0, 341_232, 0, 14_308),
+                    cd,
+                ],
+            ),
+            (
+                (352, 240, true),
+                16_719_074,
+                [
+                    c(163_680, 211_200, 166, 84_480, 0),
+                    c(3_260_224, 1_752_784, 166, 0, 0),
+                    c(237_600, 113_520, 10, 0, 0),
+                    c(625_284, 154_044, 80, 0, 0),
+                    cd,
+                ],
+            ),
+        ];
+        for ((w, h, optimized), clock, tallies) in pinned {
+            assert_eq!(
+                counts(w, h, optimized),
+                (clock, tallies.to_vec()),
+                "{w}x{h} optimized={optimized}"
+            );
+        }
     }
 
     #[test]

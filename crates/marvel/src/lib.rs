@@ -11,8 +11,10 @@
 //!   runs on the Laptop/Desktop/PPE cost models);
 //! * a **sliced** form that computes on row bands with the halos the DMA
 //!   slicing of paper §3.4 requires (convolution borders and all);
-//! * a **SIMD** form written against the `cell-spu` vector ISA (what runs
-//!   on the simulated SPEs).
+//! * a **SIMD** form charged to the `cell-spu` vector ISA (what runs on
+//!   the simulated SPEs): it computes in host code and charges the SPU
+//!   issue sequence of the hand-SIMDized kernel (the charging contract
+//!   in `cell-spu`'s crate docs).
 //!
 //! Modules:
 //!
