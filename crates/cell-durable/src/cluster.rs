@@ -1,7 +1,8 @@
 //! [`DurableCluster`] — the durability plane under a whole
-//! [`CellCluster`]: same write-ahead protocol as [`crate::DurableServer`]
-//! (see that module for the Admit → serve → deliver → Commit ordering
-//! argument), plus two cluster-only concerns:
+//! [`CellCluster`]. The write-ahead protocol is the crate's private
+//! `wal` module, shared with [`crate::DurableServer`] (see the crate
+//! docs for the Admit → serve → deliver → Commit ordering argument);
+//! this front end adds its backend and two cluster-only concerns:
 //!
 //! * **cache durability** — every committed, undegraded response whose
 //!   payload the router would cache gets a `CacheInsert` record appended
@@ -18,19 +19,16 @@
 //! every blade machine is torn down with queues, cache and traces still
 //! in volatile memory — only the journal and checkpoint devices survive.
 
-use std::collections::BTreeMap;
-
-use cell_cluster::{CachedResult, CellCluster, ClusterConfig, ClusterOutput, FeatureCache};
-use cell_core::{CellError, CellResult};
-use cell_fault::{FaultKind, FaultLine, FaultPlan, FaultSite};
+use cell_cluster::{CellCluster, ClusterConfig, ClusterOutput, FeatureCache};
+use cell_core::CellResult;
+use cell_fault::FaultPlan;
 use cell_serve::{Outcome, Request};
 use cell_telemetry::MetricsRegistry;
 use portkit::CommitLedger;
 
-use crate::checkpoint::{Checkpoint, CheckpointStore};
-use crate::journal::{encode_frame, scan_from, Record};
+use crate::journal::Record;
 use crate::server::{DurableDisks, DurableReport, RecoveryReport, RunStatus};
-use crate::storage::StableStorage;
+use crate::wal::Wal;
 
 /// Durability knobs on top of a [`ClusterConfig`].
 #[derive(Debug, Clone)]
@@ -68,152 +66,42 @@ pub struct DurableClusterOutput {
 
 /// Crash-consistent front end over a multi-blade cluster.
 pub struct DurableCluster {
-    cfg: DurableClusterConfig,
+    /// The router cache is on: journal a `CacheInsert` per cacheable
+    /// commit.
+    cache: bool,
     cluster: Option<CellCluster>,
-    journal: StableStorage,
-    checkpoints: CheckpointStore,
-    crash_line: FaultLine,
-    epoch: u32,
-    ledger: CommitLedger,
-    pending: BTreeMap<u64, Request>,
-    delivered: Vec<Outcome>,
-    appends_since_flush: usize,
-    commits_since_ckpt: u64,
-    ckpt_seq: u64,
-    replays: u64,
-    ckpt_count: u64,
-    crashed: bool,
-    crash_disks: Option<DurableDisks>,
-    metrics: MetricsRegistry,
+    wal: Wal,
 }
 
 impl DurableCluster {
     /// First boot: fresh storage, epoch 0.
     pub fn boot(cfg: DurableClusterConfig, plan: &FaultPlan) -> CellResult<Self> {
-        Self::build(cfg, DurableDisks::default(), plan, 0)
+        let wal = Wal::boot(cfg.journal, cfg.group_commit, cfg.checkpoint_every, plan);
+        Self::build(cfg.cluster, wal, plan)
     }
 
-    fn build(
-        cfg: DurableClusterConfig,
-        disks: DurableDisks,
-        plan: &FaultPlan,
-        epoch: u32,
-    ) -> CellResult<Self> {
-        let cluster = CellCluster::new(cfg.cluster.clone(), plan)?;
-        let mut metrics = MetricsRegistry::new();
-        metrics.set_gauge("durable_epoch", f64::from(epoch));
-        metrics.set_gauge("durable_journal_lag", 0.0);
-        metrics.set_gauge("durable_checkpoint_age", 0.0);
-        metrics.set_gauge("durable_replays", 0.0);
+    fn build(cluster: ClusterConfig, wal: Wal, plan: &FaultPlan) -> CellResult<Self> {
         Ok(DurableCluster {
-            cluster: Some(cluster),
-            journal: StableStorage::adopt(disks.journal, plan),
-            checkpoints: CheckpointStore::adopt(disks.checkpoints, plan),
-            crash_line: plan.arm(FaultSite::Process, 0),
-            epoch,
-            ledger: CommitLedger::new(),
-            pending: BTreeMap::new(),
-            delivered: Vec::new(),
-            appends_since_flush: 0,
-            commits_since_ckpt: 0,
-            ckpt_seq: 0,
-            replays: 0,
-            ckpt_count: 0,
-            crashed: false,
-            crash_disks: None,
-            metrics,
-            cfg,
+            cache: cluster.cache,
+            cluster: Some(CellCluster::new(cluster, plan)?),
+            wal,
         })
     }
 
     pub fn crashed(&self) -> bool {
-        self.crashed
+        self.wal.crashed()
     }
 
     pub fn epoch(&self) -> u32 {
-        self.epoch
+        self.wal.epoch
     }
 
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        &self.wal.metrics
     }
 
     pub fn ledger(&self) -> &CommitLedger {
-        &self.ledger
-    }
-
-    // ---------------------------------------------------------------
-    // Journal plumbing (same shape as DurableServer)
-    // ---------------------------------------------------------------
-
-    fn append(&mut self, record: &Record) {
-        let frame = encode_frame(record, self.epoch);
-        self.journal.append(&frame);
-        self.appends_since_flush += 1;
-        self.metrics.inc("journal_appends_total", 1);
-        self.metrics.inc("journal_bytes_total", frame.len() as u64);
-        self.metrics.set_gauge(
-            "durable_journal_lag",
-            self.journal.unflushed_records() as f64,
-        );
-        if self.crash_line.tick() == Some(FaultKind::ProcessCrash) {
-            self.crashed = true;
-            return;
-        }
-        if self.appends_since_flush >= self.cfg.group_commit.max(1) {
-            self.flush_journal();
-        }
-    }
-
-    fn flush_journal(&mut self) {
-        self.journal.flush();
-        self.appends_since_flush = 0;
-        self.metrics.inc("journal_flushes_total", 1);
-        self.metrics.set_gauge(
-            "durable_journal_lag",
-            self.journal.unflushed_records() as f64,
-        );
-    }
-
-    fn maybe_checkpoint(&mut self) {
-        if self.cfg.checkpoint_every == 0 || self.commits_since_ckpt < self.cfg.checkpoint_every {
-            return;
-        }
-        self.checkpoint();
-    }
-
-    fn checkpoint(&mut self) {
-        self.flush_journal();
-        let cluster = self.cluster.as_ref().expect("alive cluster");
-        let seq = self.ckpt_seq + 1;
-        let watermark = self.journal.len() as u64;
-        let ckpt = Checkpoint {
-            seq,
-            epoch: self.epoch,
-            watermark,
-            generations: cluster.generations(),
-            pending: self.pending.values().cloned().collect(),
-            cache: cluster.cache_snapshot(),
-        };
-        self.checkpoints.write(&ckpt);
-        self.ckpt_seq = seq;
-        self.ckpt_count += 1;
-        self.commits_since_ckpt = 0;
-        self.metrics.inc("checkpoints_total", 1);
-        self.metrics.set_gauge("durable_checkpoint_age", 0.0);
-        self.append(&Record::Checkpoint { seq, watermark });
-    }
-
-    fn do_crash(&mut self) -> CellResult<()> {
-        self.crashed = true;
-        self.crash_disks = Some(DurableDisks {
-            journal: self.journal.crash(),
-            checkpoints: self.checkpoints.crash(),
-        });
-        if let Some(cluster) = self.cluster.take() {
-            cluster.abandon()?;
-        }
-        Ok(())
+        &self.wal.ledger
     }
 
     // ---------------------------------------------------------------
@@ -223,19 +111,13 @@ impl DurableCluster {
     /// Admit and route one request; commit every outcome the router
     /// completed while absorbing it.
     pub fn submit(&mut self, request: Request) -> CellResult<RunStatus> {
-        if self.crashed {
-            return Ok(RunStatus::Crashed);
+        if self.wal.admit(&request) == RunStatus::Crashed {
+            return self.crash();
         }
-        if self.cfg.journal {
-            self.append(&Record::admit(&request));
-            if self.crashed {
-                self.do_crash()?;
-                return Ok(RunStatus::Crashed);
-            }
-        }
-        self.pending.insert(request.id, request.clone());
-        let cluster = self.cluster.as_mut().expect("alive cluster");
-        cluster.submit(request)?;
+        self.cluster
+            .as_mut()
+            .expect("alive cluster")
+            .submit(request)?;
         self.commit_outcomes()
     }
 
@@ -247,16 +129,11 @@ impl DurableCluster {
             .expect("alive cluster")
             .take_outcomes();
         for outcome in outcomes {
-            let (id, record) = match &outcome {
-                Outcome::Served(r) => (r.id, Record::commit(r)),
-                Outcome::Shed { id, .. } => (*id, Record::shed(*id)),
-            };
             // Cache-durability record: only for responses the router
-            // cache would admit (undegraded), appended after the commit
-            // so a surviving insert implies a surviving commit.
+            // cache would admit (undegraded).
             let insert = match &outcome {
-                Outcome::Served(r) if self.cfg.cluster.cache && r.degradation == 0 => {
-                    self.pending.get(&id).map(|req| {
+                Outcome::Served(r) if self.cache && r.degradation == 0 => {
+                    self.wal.pending.get(&r.id).map(|req| {
                         let (key_sum, key_len) = FeatureCache::key_for(&req.image);
                         Record::CacheInsert {
                             key_sum,
@@ -268,39 +145,20 @@ impl DurableCluster {
                 }
                 _ => None,
             };
-            let digest = match &record {
-                Record::Commit {
-                    response_digest, ..
-                } => *response_digest,
-                _ => 0,
-            };
-            self.delivered.push(outcome);
-            if self.cfg.journal {
-                self.append(&record);
-                if !self.crashed {
-                    if let Some(insert) = insert {
-                        self.append(&insert);
-                    }
-                }
-            }
-            self.ledger.record(id, digest);
-            self.pending.remove(&id);
-            self.commits_since_ckpt += 1;
-            self.metrics
-                .set_gauge("durable_checkpoint_age", self.commits_since_ckpt as f64);
-            if self.crashed {
-                self.do_crash()?;
-                return Ok(RunStatus::Crashed);
-            }
-            if self.cfg.journal {
-                self.maybe_checkpoint();
-                if self.crashed {
-                    self.do_crash()?;
-                    return Ok(RunStatus::Crashed);
-                }
+            if self.wal.commit(outcome, insert, self.cluster.as_ref()) == RunStatus::Crashed {
+                return self.crash();
             }
         }
         Ok(RunStatus::Completed)
+    }
+
+    /// The crash line fired: abandon every blade (whole-cluster loss;
+    /// the core kept the crash images).
+    fn crash(&mut self) -> CellResult<RunStatus> {
+        if let Some(cluster) = self.cluster.take() {
+            cluster.abandon()?;
+        }
+        Ok(RunStatus::Crashed)
     }
 
     /// Feed a whole stream through the router in arrival order,
@@ -319,7 +177,7 @@ impl DurableCluster {
     /// End-of-stream barrier: settle hung blades, drain every backlog,
     /// commit the resulting outcomes.
     pub fn quiesce(&mut self) -> CellResult<RunStatus> {
-        if self.crashed {
+        if self.wal.crashed() {
             return Ok(RunStatus::Crashed);
         }
         self.cluster.as_mut().expect("alive cluster").quiesce()?;
@@ -327,60 +185,26 @@ impl DurableCluster {
     }
 
     pub fn take_delivered(&mut self) -> Vec<Outcome> {
-        std::mem::take(&mut self.delivered)
+        std::mem::take(&mut self.wal.delivered)
     }
 
     /// The surviving disk images (crash images after a crash, the
     /// would-survive images otherwise).
     pub fn into_disks(mut self) -> CellResult<DurableDisks> {
-        if let Some(disks) = self.crash_disks.take() {
-            return Ok(disks);
-        }
-        let disks = DurableDisks {
-            journal: self.journal.crash(),
-            checkpoints: self.checkpoints.crash(),
-        };
-        if let Some(cluster) = self.cluster.take() {
-            cluster.abandon()?;
-        }
-        Ok(disks)
+        self.crash()?;
+        Ok(self.wal.into_disks())
     }
 
     /// Graceful shutdown: quiesce, final flush + checkpoint, collect.
     pub fn finish(mut self) -> CellResult<DurableClusterOutput> {
-        if self.crashed {
-            return Err(CellError::BadData {
-                message: "finish() on a crashed durable cluster; use into_disks()".to_string(),
-            });
-        }
-        self.cluster.as_mut().expect("alive cluster").quiesce()?;
-        if let RunStatus::Crashed = self.commit_outcomes()? {
-            return Err(CellError::BadData {
-                message: "finish() on a crashed durable cluster; use into_disks()".to_string(),
-            });
-        }
-        if self.cfg.journal {
-            self.flush_journal();
-            if self.cfg.checkpoint_every > 0 && self.commits_since_ckpt > 0 {
-                self.checkpoint();
-                self.flush_journal();
+        // A crash while quiescing surfaces as the tail's error below.
+        self.quiesce()?;
+        let (report, disks) = match self.wal.finish(self.cluster.as_ref()) {
+            Ok(tail) => tail,
+            Err(e) => {
+                self.crash()?;
+                return Err(e);
             }
-        }
-        let report = DurableReport {
-            epoch: self.epoch,
-            appends: self.journal.appends(),
-            flushes: self.journal.flushes(),
-            lost_flushes: self.journal.lost_flushes(),
-            torn_writes: self.journal.torn_writes(),
-            checkpoints: self.ckpt_count,
-            replays: self.replays,
-            journal_bytes: self.journal.len() as u64,
-        };
-        self.metrics
-            .set_gauge("durable_replays", self.replays as f64);
-        let disks = DurableDisks {
-            journal: self.journal.contents().to_vec(),
-            checkpoints: self.checkpoints.storage().contents().to_vec(),
         };
         let cluster = self
             .cluster
@@ -389,10 +213,10 @@ impl DurableCluster {
             .finish()?;
         Ok(DurableClusterOutput {
             cluster,
-            delivered: self.delivered,
+            delivered: self.wal.delivered,
             report,
             disks,
-            metrics: self.metrics,
+            metrics: self.wal.metrics,
         })
     }
 
@@ -410,134 +234,40 @@ impl DurableCluster {
         disks: DurableDisks,
         plan: &FaultPlan,
     ) -> CellResult<(Self, RecoveryReport)> {
-        let checkpoints = CheckpointStore::adopt(disks.checkpoints.clone(), plan);
-        let ckpt = checkpoints.latest();
-        let watermark = ckpt
-            .as_ref()
-            .map_or(0, |c| c.watermark)
-            .min(disks.journal.len() as u64);
-        let tail = scan_from(&disks.journal, watermark);
-
-        let mut max_epoch = ckpt.as_ref().map_or(0, |c| c.epoch);
-        for r in &tail.records {
-            max_epoch = max_epoch.max(r.epoch);
-        }
-        let epoch = max_epoch + 1;
-
-        let mut ledger = CommitLedger::new();
-        let mut pending: BTreeMap<u64, Request> = BTreeMap::new();
-        let mut cache: Vec<((u32, usize), CachedResult)> =
-            ckpt.as_ref().map(|c| c.cache.clone()).unwrap_or_default();
-        if let Some(c) = &ckpt {
-            for r in &c.pending {
-                pending.insert(r.id, r.clone());
-            }
-        }
-        let mut committed = 0u64;
-        for scanned in &tail.records {
-            match &scanned.record {
-                Record::Admit { .. } => {
-                    let request = scanned.record.to_request()?;
-                    pending.entry(request.id).or_insert(request);
-                }
-                Record::Commit {
-                    req_id,
-                    response_digest,
-                    ..
-                } => {
-                    committed += 1;
-                    ledger.record(*req_id, *response_digest);
-                    pending.remove(req_id);
-                }
-                Record::CacheInsert {
-                    key_sum,
-                    key_len,
-                    features,
-                    scores,
-                } => {
-                    cache.push((
-                        (*key_sum, *key_len as usize),
-                        CachedResult {
-                            features: features.clone(),
-                            scores: scores.clone(),
-                        },
-                    ));
-                }
-                Record::Checkpoint { .. } => {}
-            }
-        }
-
-        let mut journal_image = disks.journal;
-        journal_image.truncate(tail.valid_len as usize);
-
-        let mut cfg = cfg;
-        cfg.cluster.base_generations = ckpt
-            .as_ref()
-            .map(|c| c.generations.iter().map(|g| g + 1).collect())
-            .unwrap_or_default();
-
-        let mut durable = Self::build(
-            cfg,
-            DurableDisks {
-                journal: journal_image,
-                checkpoints: disks.checkpoints,
-            },
+        let (wal, recovered) = Wal::recover(
+            cfg.journal,
+            cfg.group_commit,
+            cfg.checkpoint_every,
+            disks,
             plan,
-            epoch,
         )?;
-        durable.ledger = ledger;
-        durable.ckpt_seq = ckpt.as_ref().map_or(0, |c| c.seq);
-
-        let mut report = RecoveryReport {
-            epoch,
-            checkpoint_seq: ckpt.as_ref().map(|c| c.seq),
-            watermark,
-            tail_records: tail.records.len() as u64,
-            discarded_bytes: tail.discarded_bytes,
-            corrupt_suffix: tail.corrupt_suffix,
-            committed,
-            replayed: Vec::new(),
-            cache_restored: 0,
-        };
+        let mut cluster = cfg.cluster;
+        cluster.base_generations = recovered.generations.iter().map(|g| g + 1).collect();
+        let mut durable = Self::build(cluster, wal, plan)?;
+        let mut report = recovered.report;
 
         // Restore the router cache from the checkpoint snapshot plus
         // committed tail inserts (existing entries win, so the
         // checkpointed value takes precedence — they are byte-identical
         // anyway by determinism).
-        {
-            let cluster = durable.cluster.as_mut().expect("alive cluster");
-            for (key, result) in cache {
-                cluster.restore_cache(key, result);
-                report.cache_restored += 1;
-            }
+        report.cache_restored = recovered.cache.len() as u64;
+        let cluster = durable.cluster.as_mut().expect("alive cluster");
+        for (key, result) in recovered.cache {
+            cluster.restore_cache(key, result);
         }
 
-        // Re-admit every pending request exactly once, in arrival
-        // order; their Admits are already durable, so replays only
-        // append fresh Commits at the new epoch.
-        let mut order: Vec<Request> = pending.into_values().collect();
-        order.sort_by_key(|r| (r.arrival, r.id));
-        for request in order {
+        for request in recovered.replay {
             report.replayed.push(request.id);
-            durable.replays += 1;
-            durable.metrics.inc("recovery_replays_total", 1);
-            durable.pending.insert(request.id, request.clone());
-            {
-                let cluster = durable.cluster.as_mut().expect("alive cluster");
-                cluster.record_recovery("journal_replay", request.id, u64::from(epoch));
-                cluster.submit(request)?;
-            }
+            durable.wal.replay(&request);
+            let cluster = durable.cluster.as_mut().expect("alive cluster");
+            cluster.record_recovery("journal_replay", request.id, u64::from(durable.wal.epoch));
+            cluster.submit(request)?;
             durable.commit_outcomes()?;
-            if durable.crashed {
+            if durable.wal.crashed() {
                 break;
             }
         }
-        if !durable.crashed {
-            durable.quiesce()?;
-        }
-        durable
-            .metrics
-            .set_gauge("durable_replays", durable.replays as f64);
+        durable.quiesce()?;
         Ok((durable, report))
     }
 }

@@ -1,49 +1,23 @@
 //! [`DurableServer`] — a crash-consistent front end over one
 //! [`CellServer`].
 //!
-//! # Protocol
-//!
-//! Per request (journal on):
-//!
-//! 1. **Admit**: append `Admit{req_id, payload}` to the journal (the
-//!    write-ahead rule: the request enters the durable world before the
-//!    machine ever sees it), then hand it to the server;
-//! 2. **Serve**: drive the machine to the terminal outcome;
-//! 3. **Deliver, then Commit**: push the outcome to the delivered
-//!    stream, then append `Commit{req_id, digest, degradation}`.
-//!    Delivery *precedes* the commit append on purpose: the crash line
-//!    fires at append boundaries, so a commit that exists durably was
-//!    always delivered — no response can be durably committed yet lost
-//!    to the client. The converse window (delivered, commit lost to a
-//!    crash, torn write or lying flush) yields a *duplicate* delivery
-//!    after recovery, byte-identical by determinism and deduped by
-//!    `req_id` at the client boundary — at-least-once delivery,
-//!    exactly-once in the durable commit log;
-//! 4. **Group commit**: every `group_commit` appends, one flush barrier;
-//! 5. **Checkpoint**: every `checkpoint_every` commits, snapshot the
-//!    pending set and the journal watermark so recovery replays a
-//!    bounded tail.
-//!
-//! # Recovery
-//!
-//! [`DurableServer::recover`] loads the newest intact checkpoint, scans
-//! the journal tail from its watermark, discards any torn/corrupt
-//! suffix, and re-admits every `Admit` without a matching `Commit`
-//! exactly once (dedup via [`portkit::CommitLedger`]) on a fresh
-//! machine whose trace-epoch domain is the new process incarnation.
-//! Every replay emits a recovery span and arms a flight-recorder dump.
-
-use std::collections::BTreeMap;
+//! The write-ahead protocol, its recovery and the exactly-once argument
+//! are in the crate docs; the crate's private `wal` module implements
+//! them once for this front end and [`crate::DurableCluster`]. What this
+//! front end adds is its backend: it hands each admitted request to the
+//! server, drives the machine to every terminal outcome, commits a shed
+//! at admission so recovery never re-makes it, and stamps each recovery
+//! replay with a `journal_replay` span and a flight-recorder dump on the
+//! fresh machine, whose trace-epoch domain is the new incarnation.
 
 use cell_core::{CellError, CellResult};
-use cell_fault::{FaultKind, FaultLine, FaultPlan, FaultSite};
-use cell_serve::{CellServer, Outcome, Request, ServeConfig, ServeOutput};
+use cell_fault::FaultPlan;
+use cell_serve::{CellServer, Outcome, Request, ServeConfig, ServeOutput, ShedReason};
 use cell_telemetry::MetricsRegistry;
 use portkit::CommitLedger;
 
-use crate::checkpoint::{Checkpoint, CheckpointStore};
-use crate::journal::{encode_frame, scan_from, Record};
-use crate::storage::StableStorage;
+use crate::journal::Record;
+use crate::wal::Wal;
 
 /// Durability knobs on top of a [`ServeConfig`].
 #[derive(Debug, Clone)]
@@ -184,66 +158,26 @@ pub struct DurableOutput {
 
 /// A crash-consistent serving runtime over one simulated Cell machine.
 pub struct DurableServer {
-    cfg: DurableConfig,
     server: Option<CellServer>,
-    journal: StableStorage,
-    checkpoints: CheckpointStore,
-    crash_line: FaultLine,
-    epoch: u32,
-    ledger: CommitLedger,
-    /// Admitted, not yet committed (what a checkpoint snapshots).
-    pending: BTreeMap<u64, Request>,
-    delivered: Vec<Outcome>,
-    appends_since_flush: usize,
-    commits_since_ckpt: u64,
-    ckpt_seq: u64,
-    replays: u64,
-    ckpt_count: u64,
-    crashed: bool,
-    crash_disks: Option<DurableDisks>,
-    metrics: MetricsRegistry,
+    wal: Wal,
 }
 
 impl DurableServer {
     /// First boot: fresh storage, epoch 0. `plan` arms the machine's
-    /// fault sites *and* the durability sites ([`FaultSite::Process`],
-    /// [`FaultSite::StorageWrite`], [`FaultSite::StorageFlush`]).
+    /// fault sites *and* the durability sites (`FaultSite::Process`,
+    /// `StorageWrite`, `StorageFlush`).
     pub fn boot(cfg: DurableConfig, plan: &FaultPlan) -> CellResult<Self> {
-        Self::build(cfg, DurableDisks::default(), plan, 0)
+        let wal = Wal::boot(cfg.journal, cfg.group_commit, cfg.checkpoint_every, plan);
+        Self::build(&cfg.serve, wal, plan)
     }
 
-    fn build(
-        cfg: DurableConfig,
-        disks: DurableDisks,
-        plan: &FaultPlan,
-        epoch: u32,
-    ) -> CellResult<Self> {
-        let mut serve = cfg.serve.clone();
-        serve.epoch_domain = u64::from(epoch);
+    fn build(serve: &ServeConfig, wal: Wal, plan: &FaultPlan) -> CellResult<Self> {
+        let mut serve = serve.clone();
+        serve.epoch_domain = u64::from(wal.epoch);
         let server = CellServer::new(serve, plan.clone())?;
-        let mut metrics = MetricsRegistry::new();
-        metrics.set_gauge("durable_epoch", f64::from(epoch));
-        metrics.set_gauge("durable_journal_lag", 0.0);
-        metrics.set_gauge("durable_checkpoint_age", 0.0);
-        metrics.set_gauge("durable_replays", 0.0);
         Ok(DurableServer {
             server: Some(server),
-            journal: StableStorage::adopt(disks.journal, plan),
-            checkpoints: CheckpointStore::adopt(disks.checkpoints, plan),
-            crash_line: plan.arm(FaultSite::Process, 0),
-            epoch,
-            ledger: CommitLedger::new(),
-            pending: BTreeMap::new(),
-            delivered: Vec::new(),
-            appends_since_flush: 0,
-            commits_since_ckpt: 0,
-            ckpt_seq: 0,
-            replays: 0,
-            ckpt_count: 0,
-            crashed: false,
-            crash_disks: None,
-            metrics,
-            cfg,
+            wal,
         })
     }
 
@@ -252,106 +186,26 @@ impl DurableServer {
     // ---------------------------------------------------------------
 
     pub fn crashed(&self) -> bool {
-        self.crashed
+        self.wal.crashed()
     }
 
     pub fn epoch(&self) -> u32 {
-        self.epoch
+        self.wal.epoch
     }
 
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        &self.wal.metrics
     }
 
     /// The durable commit ledger (recovered commits + this
     /// incarnation's).
     pub fn ledger(&self) -> &CommitLedger {
-        &self.ledger
+        &self.wal.ledger
     }
 
     /// The wrapped server, while alive.
     pub fn server(&self) -> Option<&CellServer> {
         self.server.as_ref()
-    }
-
-    // ---------------------------------------------------------------
-    // Journal plumbing
-    // ---------------------------------------------------------------
-
-    /// Append one record; ticks the crash line (the "Nth journal
-    /// append" site), then group-commits if due and still alive.
-    fn append(&mut self, record: &Record) {
-        let frame = encode_frame(record, self.epoch);
-        self.journal.append(&frame);
-        self.appends_since_flush += 1;
-        self.metrics.inc("journal_appends_total", 1);
-        self.metrics.inc("journal_bytes_total", frame.len() as u64);
-        self.metrics.set_gauge(
-            "durable_journal_lag",
-            self.journal.unflushed_records() as f64,
-        );
-        if self.crash_line.tick() == Some(FaultKind::ProcessCrash) {
-            self.crashed = true;
-            return;
-        }
-        if self.appends_since_flush >= self.cfg.group_commit.max(1) {
-            self.flush_journal();
-        }
-    }
-
-    fn flush_journal(&mut self) {
-        self.journal.flush();
-        self.appends_since_flush = 0;
-        self.metrics.inc("journal_flushes_total", 1);
-        self.metrics.set_gauge(
-            "durable_journal_lag",
-            self.journal.unflushed_records() as f64,
-        );
-    }
-
-    fn maybe_checkpoint(&mut self) {
-        if self.cfg.checkpoint_every == 0 || self.commits_since_ckpt < self.cfg.checkpoint_every {
-            return;
-        }
-        self.checkpoint();
-    }
-
-    /// Write a checkpoint now: flush the journal (the watermark must not
-    /// point past the durable frontier on an honest disk), snapshot the
-    /// pending set, and drop a `Checkpoint` marker in the journal.
-    fn checkpoint(&mut self) {
-        self.flush_journal();
-        let seq = self.ckpt_seq + 1;
-        let watermark = self.journal.len() as u64;
-        let ckpt = Checkpoint {
-            seq,
-            epoch: self.epoch,
-            watermark,
-            generations: Vec::new(),
-            pending: self.pending.values().cloned().collect(),
-            cache: Vec::new(),
-        };
-        self.checkpoints.write(&ckpt);
-        self.ckpt_seq = seq;
-        self.ckpt_count += 1;
-        self.commits_since_ckpt = 0;
-        self.metrics.inc("checkpoints_total", 1);
-        self.metrics.set_gauge("durable_checkpoint_age", 0.0);
-        self.append(&Record::Checkpoint { seq, watermark });
-    }
-
-    /// Simulated whole-process loss: capture what the platters keep and
-    /// tear the machine down (everything volatile is discarded).
-    fn do_crash(&mut self) -> CellResult<()> {
-        self.crashed = true;
-        self.crash_disks = Some(DurableDisks {
-            journal: self.journal.crash(),
-            checkpoints: self.checkpoints.crash(),
-        });
-        if let Some(server) = self.server.take() {
-            let _ = server.finish()?;
-        }
-        Ok(())
     }
 
     // ---------------------------------------------------------------
@@ -361,84 +215,52 @@ impl DurableServer {
     /// Admit and serve one request to its terminal outcome. Returns
     /// `Crashed` the moment the process crash line fires.
     pub fn submit(&mut self, request: Request) -> CellResult<RunStatus> {
-        if self.crashed {
-            return Ok(RunStatus::Crashed);
+        if self.wal.admit(&request) == RunStatus::Crashed {
+            return self.crash();
         }
-        if self.cfg.journal {
-            self.append(&Record::admit(&request));
-            if self.crashed {
-                self.do_crash()?;
-                return Ok(RunStatus::Crashed);
-            }
-        }
-        self.pending.insert(request.id, request.clone());
+        self.serve(request)
+    }
+
+    /// Hand an admitted request to the machine, serve everything queued
+    /// and commit each outcome.
+    fn serve(&mut self, request: Request) -> CellResult<RunStatus> {
         let id = request.id;
-        let arrival = request.arrival;
         let server = self.server.as_mut().expect("alive server");
-        server.advance_to(arrival);
+        server.advance_to(request.arrival);
         match server.try_submit(request) {
-            Ok(()) => {}
-            Err(CellError::Overloaded { .. }) => {
-                // Terminal at admission: deliver the shed, then commit
-                // it so recovery never re-makes the decision.
-                self.delivered.push(Outcome::Shed {
-                    id,
-                    reason: cell_serve::ShedReason::Overloaded,
-                });
-                return self.commit_one(id, &Record::shed(id));
+            Ok(()) => {
+                while server.step()? {}
+                for outcome in server.take_outcomes() {
+                    if self.commit(outcome)? == RunStatus::Crashed {
+                        return Ok(RunStatus::Crashed);
+                    }
+                }
+                Ok(RunStatus::Completed)
             }
-            Err(e) => return Err(e),
+            // Terminal at admission: deliver the shed, then commit it so
+            // recovery never re-makes the decision.
+            Err(CellError::Overloaded { .. }) => self.commit(Outcome::Shed {
+                id,
+                reason: ShedReason::Overloaded,
+            }),
+            Err(e) => Err(e),
         }
-        self.pump()
     }
 
-    /// Serve everything queued and commit each outcome.
-    fn pump(&mut self) -> CellResult<RunStatus> {
-        let server = self.server.as_mut().expect("alive server");
-        while server.step()? {}
-        let outcomes = server.take_outcomes();
-        for outcome in outcomes {
-            let (id, record) = match &outcome {
-                Outcome::Served(r) => (r.id, Record::commit(r)),
-                Outcome::Shed { id, .. } => (*id, Record::shed(*id)),
-            };
-            // Deliver before the commit append: see the module docs for
-            // why this ordering makes lost deliveries impossible.
-            self.delivered.push(outcome);
-            if let RunStatus::Crashed = self.commit_one(id, &record)? {
-                return Ok(RunStatus::Crashed);
-            }
+    fn commit(&mut self, outcome: Outcome) -> CellResult<RunStatus> {
+        match self.wal.commit(outcome, None, None) {
+            RunStatus::Crashed => self.crash(),
+            RunStatus::Completed => Ok(RunStatus::Completed),
         }
-        Ok(RunStatus::Completed)
     }
 
-    fn commit_one(&mut self, id: u64, record: &Record) -> CellResult<RunStatus> {
-        let digest = match record {
-            Record::Commit {
-                response_digest, ..
-            } => *response_digest,
-            _ => 0,
-        };
-        if self.cfg.journal {
-            self.append(record);
+    /// The crash line fired: tear the machine down. Everything volatile
+    /// is discarded; the core kept the crash images.
+    fn crash(&mut self) -> CellResult<RunStatus> {
+        if let Some(server) = self.server.take() {
+            let _ = server.finish()?;
         }
-        self.ledger.record(id, digest);
-        self.pending.remove(&id);
-        self.commits_since_ckpt += 1;
-        self.metrics
-            .set_gauge("durable_checkpoint_age", self.commits_since_ckpt as f64);
-        if self.crashed {
-            self.do_crash()?;
-            return Ok(RunStatus::Crashed);
-        }
-        if self.cfg.journal {
-            self.maybe_checkpoint();
-            if self.crashed {
-                self.do_crash()?;
-                return Ok(RunStatus::Crashed);
-            }
-        }
-        Ok(RunStatus::Completed)
+        Ok(RunStatus::Crashed)
     }
 
     /// Feed a whole stream through [`submit`](Self::submit) in arrival
@@ -456,55 +278,25 @@ impl DurableServer {
 
     /// Outcomes delivered since the last call, in delivery order.
     pub fn take_delivered(&mut self) -> Vec<Outcome> {
-        std::mem::take(&mut self.delivered)
+        std::mem::take(&mut self.wal.delivered)
     }
 
     /// The surviving disk images after a crash (or the live images on a
     /// still-running server — what a crash *right now* would keep).
     pub fn into_disks(mut self) -> CellResult<DurableDisks> {
-        if let Some(disks) = self.crash_disks.take() {
-            return Ok(disks);
-        }
-        let disks = DurableDisks {
-            journal: self.journal.crash(),
-            checkpoints: self.checkpoints.crash(),
-        };
-        if let Some(server) = self.server.take() {
-            let _ = server.finish()?;
-        }
-        Ok(disks)
+        self.crash()?;
+        Ok(self.wal.into_disks())
     }
 
     /// Graceful shutdown: final flush (and checkpoint, if enabled),
     /// then collect everything.
     pub fn finish(mut self) -> CellResult<DurableOutput> {
-        if self.crashed {
-            return Err(CellError::BadData {
-                message: "finish() on a crashed durable server; use into_disks()".to_string(),
-            });
-        }
-        if self.cfg.journal {
-            self.flush_journal();
-            if self.cfg.checkpoint_every > 0 && self.commits_since_ckpt > 0 {
-                self.checkpoint();
-                self.flush_journal();
+        let (report, disks) = match self.wal.finish(None) {
+            Ok(tail) => tail,
+            Err(e) => {
+                self.crash()?;
+                return Err(e);
             }
-        }
-        let report = DurableReport {
-            epoch: self.epoch,
-            appends: self.journal.appends(),
-            flushes: self.journal.flushes(),
-            lost_flushes: self.journal.lost_flushes(),
-            torn_writes: self.journal.torn_writes(),
-            checkpoints: self.ckpt_count,
-            replays: self.replays,
-            journal_bytes: self.journal.len() as u64,
-        };
-        self.metrics
-            .set_gauge("durable_replays", self.replays as f64);
-        let disks = DurableDisks {
-            journal: self.journal.contents().to_vec(),
-            checkpoints: self.checkpoints.storage().contents().to_vec(),
         };
         let serve = self
             .server
@@ -513,10 +305,10 @@ impl DurableServer {
             .finish()?;
         Ok(DurableOutput {
             serve,
-            delivered: self.delivered,
+            delivered: self.wal.delivered,
             report,
             disks,
-            metrics: self.metrics,
+            metrics: self.wal.metrics,
         })
     }
 
@@ -536,119 +328,27 @@ impl DurableServer {
         disks: DurableDisks,
         plan: &FaultPlan,
     ) -> CellResult<(Self, RecoveryReport)> {
-        let checkpoints = CheckpointStore::adopt(disks.checkpoints.clone(), plan);
-        let ckpt = checkpoints.latest();
-        let watermark = ckpt
-            .as_ref()
-            .map_or(0, |c| c.watermark)
-            .min(disks.journal.len() as u64);
-        let tail = scan_from(&disks.journal, watermark);
-
-        // The new incarnation outranks every epoch the disks mention.
-        let mut max_epoch = ckpt.as_ref().map_or(0, |c| c.epoch);
-        for r in &tail.records {
-            max_epoch = max_epoch.max(r.epoch);
-        }
-        let epoch = max_epoch + 1;
-
-        // Pending = checkpoint pending + tail admits − tail commits.
-        let mut ledger = CommitLedger::new();
-        let mut pending: BTreeMap<u64, Request> = BTreeMap::new();
-        if let Some(c) = &ckpt {
-            for r in &c.pending {
-                pending.insert(r.id, r.clone());
-            }
-        }
-        let mut committed = 0u64;
-        for scanned in &tail.records {
-            match &scanned.record {
-                Record::Admit { .. } => {
-                    let request = scanned.record.to_request()?;
-                    pending.entry(request.id).or_insert(request);
-                }
-                Record::Commit {
-                    req_id,
-                    response_digest,
-                    ..
-                } => {
-                    committed += 1;
-                    ledger.record(*req_id, *response_digest);
-                    pending.remove(req_id);
-                }
-                Record::CacheInsert { .. } | Record::Checkpoint { .. } => {}
-            }
-        }
-
-        // Adopt only the valid journal prefix: the torn/corrupt suffix
-        // is discarded, never trusted, and the next append overwrites it.
-        let mut journal_image = disks.journal;
-        journal_image.truncate(tail.valid_len as usize);
-
-        let mut server = Self::build(
-            cfg,
-            DurableDisks {
-                journal: journal_image,
-                checkpoints: disks.checkpoints,
-            },
+        let (wal, recovered) = Wal::recover(
+            cfg.journal,
+            cfg.group_commit,
+            cfg.checkpoint_every,
+            disks,
             plan,
-            epoch,
         )?;
-        server.ledger = ledger;
-        server.ckpt_seq = ckpt.as_ref().map_or(0, |c| c.seq);
-
-        let mut report = RecoveryReport {
-            epoch,
-            checkpoint_seq: ckpt.as_ref().map(|c| c.seq),
-            watermark,
-            tail_records: tail.records.len() as u64,
-            discarded_bytes: tail.discarded_bytes,
-            corrupt_suffix: tail.corrupt_suffix,
-            committed,
-            replayed: Vec::new(),
-            cache_restored: 0,
-        };
-
-        // Re-admit every pending request exactly once, in arrival
-        // order. The Admit records are already durable (journal tail or
-        // checkpoint), so replays only append fresh Commits — stamped
-        // with the new epoch.
-        let mut order: Vec<Request> = pending.into_values().collect();
-        order.sort_by_key(|r| (r.arrival, r.id));
-        for request in order {
+        let mut durable = Self::build(&cfg.serve, wal, plan)?;
+        let mut report = recovered.report;
+        for request in recovered.replay {
             report.replayed.push(request.id);
-            server.replay_one(request)?;
-            if server.crashed {
+            durable.wal.replay(&request);
+            let server = durable.server.as_mut().expect("alive server");
+            server.record_recovery("journal_replay", request.id, u64::from(durable.wal.epoch));
+            server.capture_flight_dump("recovery_replay");
+            durable.serve(request)?;
+            if durable.wal.crashed() {
                 break;
             }
         }
-        server
-            .metrics
-            .set_gauge("durable_replays", server.replays as f64);
-        Ok((server, report))
-    }
-
-    fn replay_one(&mut self, request: Request) -> CellResult<()> {
-        self.replays += 1;
-        self.metrics.inc("recovery_replays_total", 1);
-        self.pending.insert(request.id, request.clone());
-        let inner = self.server.as_mut().expect("alive server");
-        inner.record_recovery("journal_replay", request.id, u64::from(self.epoch));
-        inner.capture_flight_dump("recovery_replay");
-        inner.advance_to(request.arrival);
-        match inner.try_submit(request.clone()) {
-            Ok(()) => {
-                self.pump()?;
-            }
-            Err(CellError::Overloaded { .. }) => {
-                self.delivered.push(Outcome::Shed {
-                    id: request.id,
-                    reason: cell_serve::ShedReason::Overloaded,
-                });
-                self.commit_one(request.id, &Record::shed(request.id))?;
-            }
-            Err(e) => return Err(e),
-        }
-        Ok(())
+        Ok((durable, report))
     }
 }
 

@@ -35,7 +35,6 @@ use std::collections::{HashMap, VecDeque};
 use cell_core::{CellError, CellResult};
 use cell_sys::ppe::Ppe;
 use cell_trace::{Counter, EventKind};
-use portkit::interface::ReplyMode;
 use portkit::opcodes::{MAX_BATCH, SPU_BATCH, SPU_EXIT, SPU_SPAN};
 use portkit::recovery::{await_reply, dead_spe, poll_reply, Awaited};
 use portkit::schedule::{KernelId, Schedule};
@@ -89,7 +88,6 @@ pub struct Engine {
     window: usize,
     policy: RetryPolicy,
     mode: FailoverMode,
-    reply_mode: ReplyMode,
     /// Current kernel-slot → SPE routing (replanned on failover).
     schedule: Option<Schedule>,
     /// The pristine full-width schedule; `revive` replans from it.
@@ -107,15 +105,15 @@ pub struct Engine {
 
 impl Engine {
     /// An engine over `num_spes` lanes: window 1, [`FailoverMode::Fail`],
-    /// polling replies, default [`RetryPolicy`] — exactly the Listing-3
-    /// protocol until the builder methods say otherwise.
+    /// default [`RetryPolicy`], replies read from the polling outbound
+    /// mailbox — exactly the Listing-3 protocol until the builder
+    /// methods say otherwise.
     pub fn new(num_spes: usize) -> Self {
         Engine {
             lanes: (0..num_spes).map(|_| Lane::default()).collect(),
             window: 1,
             policy: RetryPolicy::default(),
             mode: FailoverMode::Fail,
-            reply_mode: ReplyMode::Polling,
             schedule: None,
             full_schedule: None,
             alive: vec![true; num_spes],
@@ -163,12 +161,6 @@ impl Engine {
     #[must_use]
     pub fn with_mode(mut self, mode: FailoverMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    #[must_use]
-    pub fn with_reply_mode(mut self, reply_mode: ReplyMode) -> Self {
-        self.reply_mode = reply_mode;
         self
     }
 
@@ -569,10 +561,7 @@ impl Engine {
             match self.mode {
                 FailoverMode::Fail => {
                     self.pump_lane_blocking(ppe, spe)?;
-                    let v = match self.reply_mode {
-                        ReplyMode::Polling => ppe.read_out_mbox(spe)?,
-                        ReplyMode::Interrupt => ppe.read_out_intr_mbox(spe)?,
-                    };
+                    let v = ppe.read_out_mbox(spe)?;
                     self.finish_front(ppe, spe, v, obs);
                 }
                 FailoverMode::Replan => self.step_lane(ppe, spe, obs)?,
@@ -878,6 +867,7 @@ mod tests {
     use cell_sys::machine::{CellMachine, SpeHandle};
     use cell_trace::TraceConfig;
     use portkit::dispatcher::KernelDispatcher;
+    use portkit::interface::ReplyMode;
     use portkit::opcodes::SPU_OK;
 
     fn adder_machine(n_spes: usize, plan: FaultPlan) -> (CellMachine, Ppe, u32, Vec<SpeHandle>) {

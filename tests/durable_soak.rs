@@ -20,9 +20,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use cell_core::{checksum32, CellError};
 use cell_durable::{
-    durable_commit_log, scan, DurableCluster, DurableClusterConfig, DurableConfig, DurableServer,
-    Record, RunStatus, SHED_DEGRADATION,
+    durable_commit_log, scan, DurableCluster, DurableClusterConfig, DurableClusterOutput,
+    DurableConfig, DurableOutput, DurableReport, DurableServer, Record, RecoveryReport, RunStatus,
+    SHED_DEGRADATION,
 };
 use cell_fault::FaultPlan;
 use cell_serve::{generate, Outcome, Request, Response, ServeConfig, WorkloadSpec};
@@ -174,10 +176,45 @@ fn reference_run(seed: u64, n: usize) -> (Client, Vec<u8>) {
     (client, output.disks.journal)
 }
 
+/// Pin a disk image to its exact length and `checksum32`: the journal
+/// and checkpoint bytes are an on-disk format, so any rework of the
+/// write-ahead code must reproduce them exactly.
+fn assert_image(bytes: &[u8], len: usize, sum: u32, what: &str) {
+    assert_eq!((bytes.len(), checksum32(bytes)), (len, sum), "{what} image");
+}
+
+/// Pin a run's `(appends, flushes, checkpoints, replays)`.
+fn assert_counts(report: &DurableReport, counts: (u64, u64, u64, u64)) {
+    let got = (
+        report.appends,
+        report.flushes,
+        report.checkpoints,
+        report.replays,
+    );
+    assert_eq!(got, counts, "(appends, flushes, checkpoints, replays)");
+}
+
+/// The client retry rule: anything neither delivered nor replayed was
+/// lost with the crash and gets resubmitted. (Pre-crash committed
+/// requests were always delivered — see the exactly-once argument — so
+/// clients never retry them.)
+fn retries(requests: &[Request], client: &Client, report: &RecoveryReport) -> Vec<Request> {
+    let seen = client.seen_ids();
+    requests
+        .iter()
+        .filter(|r| !seen.contains(&r.id) && !report.replayed.contains(&r.id))
+        .cloned()
+        .collect()
+}
+
 /// Crash a durable run under `plan`, recover with a clean plan, retry
 /// what the client never saw, and return the combined client view, the
-/// final journal, and whether a crash actually happened.
-fn crash_and_recover(seed: u64, n: usize, plan: &FaultPlan) -> (Client, Vec<u8>, bool, u64) {
+/// final output and the recovery report (`None`: no crash happened).
+fn crash_and_recover(
+    seed: u64,
+    n: usize,
+    plan: &FaultPlan,
+) -> (Client, DurableOutput, Option<RecoveryReport>) {
     let requests = workload(n, seed);
     let cfg = durable_config(seed);
     let mut srv = DurableServer::boot(cfg.clone(), plan).unwrap();
@@ -185,8 +222,7 @@ fn crash_and_recover(seed: u64, n: usize, plan: &FaultPlan) -> (Client, Vec<u8>,
     let mut client = Client::default();
     client.absorb(srv.take_delivered());
     if status == RunStatus::Completed {
-        let output = srv.finish().unwrap();
-        return (client, output.disks.journal, false, 0);
+        return (client, srv.finish().unwrap(), None);
     }
 
     let disks = srv.into_disks().unwrap();
@@ -194,24 +230,14 @@ fn crash_and_recover(seed: u64, n: usize, plan: &FaultPlan) -> (Client, Vec<u8>,
     assert!(!srv2.crashed(), "clean recovery must not crash");
     assert!(report.epoch >= 1, "recovery bumps the epoch");
     client.absorb(srv2.take_delivered());
-
-    // Client retry rule: anything neither delivered nor replayed was
-    // lost with the crash and gets resubmitted. (Pre-crash committed
-    // requests were always delivered — see the exactly-once argument —
-    // so clients never retry them.)
-    let seen = client.seen_ids();
-    let replayed: BTreeSet<u64> = report.replayed.iter().copied().collect();
-    let retries: Vec<Request> = requests
-        .iter()
-        .filter(|r| !seen.contains(&r.id) && !replayed.contains(&r.id))
-        .cloned()
-        .collect();
-    let status = srv2.run_stream(&retries).unwrap();
+    let status = srv2
+        .run_stream(&retries(&requests, &client, &report))
+        .unwrap();
     assert_eq!(status, RunStatus::Completed);
     client.absorb(srv2.take_delivered());
     let output = srv2.finish().unwrap();
     assert_eq!(output.report.epoch, report.epoch);
-    (client, output.disks.journal, true, report.discarded_bytes)
+    (client, output, Some(report))
 }
 
 // -------------------------------------------------------------------
@@ -251,10 +277,28 @@ fn crash_recovery_is_byte_identical_across_seeded_crash_points() {
     // these points land on admits, commits and a marker.
     for crash_at in [1, 4, 7, 12] {
         let plan = FaultPlan::new().crash_process(crash_at);
-        let (client, journal, crashed, _) = crash_and_recover(seed, n, &plan);
-        assert!(crashed, "crash point {crash_at} must fire");
+        let (client, output, report) = crash_and_recover(seed, n, &plan);
+        assert!(report.is_some(), "crash point {crash_at} must fire");
         client.assert_matches(&reference);
-        assert_commit_log_exactly_once(&journal, &all_ids, true);
+        assert_commit_log_exactly_once(&output.disks.journal, &all_ids, true);
+    }
+
+    // The 4-blade cluster: 12 requests make 39 appends, Admit/Commit/
+    // CacheInsert triples plus a Checkpoint marker after every 4th
+    // commit. These points land on an Admit (1), a Commit whose
+    // CacheInsert is then never written (2), a CacheInsert (3), the
+    // first marker (13), the first Admit after it (14), the Commit of
+    // the first repeated payload (28) and the last marker (39).
+    let seed = 77;
+    let requests = cluster_workload(8, seed);
+    let (reference, _) = cluster_reference_run(seed, &requests);
+    let all_ids: BTreeSet<u64> = requests.iter().map(|r| r.id).collect();
+    for crash_at in [1, 2, 3, 13, 14, 28, 39] {
+        let plan = FaultPlan::new().crash_process(crash_at);
+        let (client, output, report) = cluster_crash_and_recover(seed, &requests, &plan);
+        assert!(report.is_some(), "cluster crash point {crash_at} must fire");
+        client.assert_matches(&reference);
+        assert_commit_log_exactly_once(&output.disks.journal, &all_ids, true);
     }
 }
 
@@ -276,15 +320,18 @@ fn mid_group_commit_torn_write_recovers_exactly_once() {
         .torn_write(6, 3)
         .lose_flush(3)
         .crash_process(7);
-    let (client, journal, crashed, discarded) = crash_and_recover(seed, n, &plan);
-    assert!(crashed);
-    assert!(discarded > 0, "the torn frame must be discarded");
+    let (client, output, report) = crash_and_recover(seed, n, &plan);
+    let report = report.expect("the crash line must fire");
+    assert!(
+        report.discarded_bytes > 0,
+        "the torn frame must be discarded"
+    );
     assert!(
         client.duplicates > 0,
         "lost commits imply duplicate deliveries"
     );
     client.assert_matches(&reference);
-    assert_commit_log_exactly_once(&journal, &all_ids, true);
+    assert_commit_log_exactly_once(&output.disks.journal, &all_ids, true);
 }
 
 #[test]
@@ -295,14 +342,41 @@ fn recovery_after_torn_crash_is_deterministic() {
         .torn_write(4, 2)
         .lose_flush(2)
         .crash_process(6);
-    let (client_a, journal_a, crashed_a, _) = crash_and_recover(seed, n, &plan);
-    let (client_b, journal_b, crashed_b, _) = crash_and_recover(seed, n, &plan);
-    assert!(crashed_a && crashed_b);
+    let (client_a, out_a, report_a) = crash_and_recover(seed, n, &plan);
+    let (client_b, out_b, report_b) = crash_and_recover(seed, n, &plan);
+    assert!(report_a.is_some() && report_b.is_some());
     client_a.assert_matches(&client_b);
     assert_eq!(
-        journal_a, journal_b,
+        out_a.disks.journal, out_b.disks.journal,
         "crash + recovery must be byte-reproducible end to end"
     );
+    // The recovered incarnation's disk images and counters, pinned.
+    assert_image(&out_a.disks.journal, 4_244, 0x8f7f_4f99, "journal");
+    assert_image(&out_a.disks.checkpoints, 40, 0x14fc_2912, "checkpoints");
+    assert_counts(&out_a.report, (8, 5, 1, 1));
+}
+
+#[test]
+fn crash_on_the_final_checkpoint_fails_finish() {
+    // Six requests make twelve Admit/Commit appends plus the marker of
+    // the checkpoint after the 4th commit; `finish` writes the 14th
+    // append, its final checkpoint's marker. A crash there must not
+    // read as a graceful shutdown.
+    let seed = 4242;
+    let plan = FaultPlan::new().crash_process(14);
+    let mut srv = DurableServer::boot(durable_config(seed), &plan).unwrap();
+    let status = srv.run_stream(&workload(6, seed)).unwrap();
+    assert_eq!(status, RunStatus::Completed);
+    assert!(matches!(srv.finish(), Err(CellError::BadData { .. })));
+
+    // The cluster's tail is the same: 9 requests make 29 appends in
+    // the stream, and the 30th is `finish`'s checkpoint marker.
+    let seed = 77;
+    let plan = FaultPlan::new().crash_process(30);
+    let mut cluster = DurableCluster::boot(cluster_config(seed), &plan).unwrap();
+    let status = cluster.run_stream(&cluster_workload(6, seed)).unwrap();
+    assert_eq!(status, RunStatus::Completed);
+    assert!(matches!(cluster.finish(), Err(CellError::BadData { .. })));
 }
 
 #[test]
@@ -335,14 +409,8 @@ fn checkpoint_bounds_tail_replay() {
     client.absorb(srv2.take_delivered());
 
     let (reference, _) = reference_run(seed, n);
-    let seen = client.seen_ids();
-    let replayed: BTreeSet<u64> = report.replayed.iter().copied().collect();
-    let retries: Vec<Request> = requests
-        .iter()
-        .filter(|r| !seen.contains(&r.id) && !replayed.contains(&r.id))
-        .cloned()
-        .collect();
-    srv2.run_stream(&retries).unwrap();
+    srv2.run_stream(&retries(&requests, &client, &report))
+        .unwrap();
     client.absorb(srv2.take_delivered());
     let output = srv2.finish().unwrap();
     client.assert_matches(&reference);
@@ -377,14 +445,8 @@ fn bit_rot_is_detected_and_truncates_the_scan() {
     assert!(report.corrupt_suffix, "bit rot must be flagged");
     assert!(report.discarded_bytes > 0);
     client.absorb(srv2.take_delivered());
-    let seen = client.seen_ids();
-    let replayed: BTreeSet<u64> = report.replayed.iter().copied().collect();
-    let retries: Vec<Request> = requests
-        .iter()
-        .filter(|r| !seen.contains(&r.id) && !replayed.contains(&r.id))
-        .cloned()
-        .collect();
-    srv2.run_stream(&retries).unwrap();
+    srv2.run_stream(&retries(&requests, &client, &report))
+        .unwrap();
     client.absorb(srv2.take_delivered());
     let output = srv2.finish().unwrap();
     // The client still sees everything, byte-identically; the durable
@@ -524,6 +586,45 @@ fn cluster_workload(n: usize, seed: u64) -> Vec<Request> {
     requests
 }
 
+/// Crash-free durable cluster run over `requests`: the byte-identity
+/// baseline.
+fn cluster_reference_run(seed: u64, requests: &[Request]) -> (Client, DurableClusterOutput) {
+    let mut cluster = DurableCluster::boot(cluster_config(seed), &FaultPlan::new()).unwrap();
+    assert_eq!(cluster.run_stream(requests).unwrap(), RunStatus::Completed);
+    let mut client = Client::default();
+    client.absorb(cluster.take_delivered());
+    (client, cluster.finish().unwrap())
+}
+
+/// [`crash_and_recover`] for the 4-blade cluster: whole-cluster loss
+/// under `plan`, clean recovery, client retries.
+fn cluster_crash_and_recover(
+    seed: u64,
+    requests: &[Request],
+    plan: &FaultPlan,
+) -> (Client, DurableClusterOutput, Option<RecoveryReport>) {
+    let cfg = cluster_config(seed);
+    let mut cluster = DurableCluster::boot(cfg.clone(), plan).unwrap();
+    let status = cluster.run_stream(requests).unwrap();
+    let mut client = Client::default();
+    client.absorb(cluster.take_delivered());
+    if status == RunStatus::Completed {
+        return (client, cluster.finish().unwrap(), None);
+    }
+
+    let disks = cluster.into_disks().unwrap();
+    let (mut recovered, report) = DurableCluster::recover(cfg, disks, &FaultPlan::new()).unwrap();
+    assert!(!recovered.crashed(), "clean recovery must not crash");
+    assert!(report.epoch >= 1, "recovery bumps the epoch");
+    client.absorb(recovered.take_delivered());
+    let status = recovered
+        .run_stream(&retries(requests, &client, &report))
+        .unwrap();
+    assert_eq!(status, RunStatus::Completed);
+    client.absorb(recovered.take_delivered());
+    (client, recovered.finish().unwrap(), Some(report))
+}
+
 #[test]
 fn whole_cluster_loss_recovers_byte_identically_with_cache_restore() {
     let seed = 77;
@@ -532,57 +633,48 @@ fn whole_cluster_loss_recovers_byte_identically_with_cache_restore() {
     let all_ids: BTreeSet<u64> = requests.iter().map(|r| r.id).collect();
 
     // Crash-free reference.
-    let mut reference_cluster =
-        DurableCluster::boot(cluster_config(seed), &FaultPlan::new()).unwrap();
-    assert_eq!(
-        reference_cluster.run_stream(&requests).unwrap(),
-        RunStatus::Completed
-    );
-    let mut reference = Client::default();
-    reference.absorb(reference_cluster.take_delivered());
-    let ref_out = reference_cluster.finish().unwrap();
+    let (reference, ref_out) = cluster_reference_run(seed, &requests);
     assert_eq!(reference.served.len(), requests.len());
     assert!(
         ref_out.cluster.report.cache_hits > 0,
         "repeat payloads must hit the cache"
     );
     assert_commit_log_exactly_once(&ref_out.disks.journal, &all_ids, true);
+    assert_image(&ref_out.disks.journal, 31_287, 0xfaf6_7089, "journal");
+    assert_image(
+        &ref_out.disks.checkpoints,
+        35_356,
+        0xfa5a_2263,
+        "checkpoints",
+    );
+    assert_counts(&ref_out.report, (39, 16, 3, 0));
 
     // Whole-cluster loss mid-stream (mid-group-commit, torn write).
     let plan = FaultPlan::new()
         .torn_write(14, 5)
         .lose_flush(5)
         .crash_process(16);
-    let cfg = cluster_config(seed);
-    let mut cluster = DurableCluster::boot(cfg.clone(), &plan).unwrap();
-    let status = cluster.run_stream(&requests).unwrap();
-    assert_eq!(status, RunStatus::Crashed, "the crash line must fire");
-    let mut client = Client::default();
-    client.absorb(cluster.take_delivered());
-    let disks = cluster.into_disks().unwrap();
-
-    let (mut recovered, report) = DurableCluster::recover(cfg, disks, &FaultPlan::new()).unwrap();
-    assert!(report.epoch >= 1);
-    if report.checkpoint_seq.is_some() {
-        assert!(
-            report.cache_restored > 0,
-            "a checkpointed cache must be restored"
-        );
-    }
-    client.absorb(recovered.take_delivered());
-    let seen = client.seen_ids();
-    let replayed: BTreeSet<u64> = report.replayed.iter().copied().collect();
-    let retries: Vec<Request> = requests
-        .iter()
-        .filter(|r| !seen.contains(&r.id) && !replayed.contains(&r.id))
-        .cloned()
-        .collect();
-    assert_eq!(
-        recovered.run_stream(&retries).unwrap(),
-        RunStatus::Completed
+    let (client, output, report) = cluster_crash_and_recover(seed, &requests, &plan);
+    let report = report.expect("the crash line must fire");
+    let recovery = (
+        report.checkpoint_seq,
+        report.watermark,
+        report.tail_records,
+        report.cache_restored,
     );
-    client.absorb(recovered.take_delivered());
-    let output = recovered.finish().unwrap();
+    assert_eq!(
+        recovery,
+        (Some(1), 10_400, 4, 5),
+        "(checkpoint_seq, watermark, tail_records, cache_restored)"
+    );
+    assert_image(&output.disks.journal, 31_287, 0x0067_8faa, "journal");
+    assert_image(
+        &output.disks.checkpoints,
+        35_356,
+        0x9e36_a44d,
+        "checkpoints",
+    );
+    assert_counts(&output.report, (23, 11, 2, report.replayed.len() as u64));
 
     client.assert_matches(&reference);
     assert_commit_log_exactly_once(&output.disks.journal, &all_ids, true);
