@@ -18,11 +18,12 @@
 
 use std::time::{Duration, Instant};
 
-use cell_bench::harness::Criterion;
+use cell_bench::harness::{write_artifact, Criterion};
 use cell_bench::{criterion_group, criterion_main, SEED};
 use cell_cluster::{CellCluster, ClusterConfig, ClusterOutput};
 use cell_fault::FaultPlan;
 use cell_serve::{generate, Request, ServeConfig, WorkloadSpec};
+use cell_trace::json::JsonWriter;
 
 const REQUESTS: usize = 16;
 const UNIQUES: usize = 4;
@@ -95,20 +96,15 @@ fn wall_rps(r: &Run) -> f64 {
     r.output.report.served as f64 / r.wall.as_secs_f64().max(1e-12)
 }
 
-fn scaling_json(label: usize, r: &Run) -> String {
-    format!(
-        concat!(
-            "{{\"blades\":{},\"served\":{},\"wall_ms\":{:.3},",
-            "\"requests_per_sec_wall\":{:.1},\"elapsed_virtual_ms\":{:.3},",
-            "\"requests_per_sec_sim\":{:.1}}}"
-        ),
-        label,
-        r.output.report.served,
-        r.wall.as_secs_f64() * 1e3,
-        wall_rps(r),
-        r.output.report.elapsed.millis(),
-        sim_rps(r),
-    )
+fn write_scaling(w: &mut JsonWriter, blades: usize, r: &Run) {
+    w.begin_object().key("blades").u64(blades as u64);
+    w.key("served").u64(r.output.report.served);
+    w.key("wall_ms").fixed(r.wall.as_secs_f64() * 1e3, 3);
+    w.key("requests_per_sec_wall").fixed(wall_rps(r), 1);
+    let sim_ms = r.output.report.elapsed.millis();
+    w.key("elapsed_virtual_ms").fixed(sim_ms, 3);
+    w.key("requests_per_sec_sim").fixed(sim_rps(r), 1);
+    w.end_object();
 }
 
 fn bench_cluster(c: &mut Criterion) {
@@ -166,35 +162,28 @@ fn bench_cluster(c: &mut Criterion) {
         "cache hits never add simulated serving time"
     );
 
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"BENCH_07\",\"seed\":{},\"clock_ghz\":3.2,",
-            "\"scaling\":[{},{},{}],",
-            "\"scaling_sim_speedup_4_vs_1\":{:.3},",
-            "\"cache\":{{\"uniques\":{},\"requests\":{},\"hits\":{},",
-            "\"off_sim_ms\":{:.3},\"on_sim_ms\":{:.3},",
-            "\"off_wall_ms\":{:.3},\"on_wall_ms\":{:.3},",
-            "\"on_requests_per_sec_sim\":{:.1}}}}}"
-        ),
-        SEED,
-        scaling_json(1, one),
-        scaling_json(2, &runs[1].1),
-        scaling_json(4, four),
-        speedup,
-        UNIQUES,
-        REQUESTS,
-        on.output.report.cache_hits,
-        off.output.report.elapsed.millis(),
-        on.output.report.elapsed.millis(),
-        off.wall.as_secs_f64() * 1e3,
-        on.wall.as_secs_f64() * 1e3,
-        sim_rps(&on),
-    );
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("BENCH_07.json");
-    std::fs::write(&path, &json).unwrap();
-    println!("report: {}\n", path.display());
+    let mut w = JsonWriter::default();
+    w.begin_object().key("bench").str("BENCH_07");
+    w.key("seed").u64(SEED).key("clock_ghz").f64(3.2);
+    w.key("scaling").begin_array();
+    for (blades, r) in &runs {
+        write_scaling(&mut w, *blades, r);
+    }
+    w.end_array();
+    w.key("scaling_sim_speedup_4_vs_1").fixed(speedup, 3);
+    w.key("cache").begin_object();
+    w.key("uniques").u64(UNIQUES as u64);
+    w.key("requests").u64(REQUESTS as u64);
+    w.key("hits").u64(on.output.report.cache_hits);
+    let sim_ms = |r: &Run| r.output.report.elapsed.millis();
+    w.key("off_sim_ms").fixed(sim_ms(&off), 3);
+    w.key("on_sim_ms").fixed(sim_ms(&on), 3);
+    w.key("off_wall_ms").fixed(off.wall.as_secs_f64() * 1e3, 3);
+    w.key("on_wall_ms").fixed(on.wall.as_secs_f64() * 1e3, 3);
+    w.key("on_requests_per_sec_sim").fixed(sim_rps(&on), 1);
+    w.end_object().end_object();
+    let path = write_artifact("BENCH_07", &w.finish()).unwrap();
+    println!("report: {path}\n");
 
     // Host-clock samples for criterion's statistics (the JSON keeps the
     // single-run numbers).

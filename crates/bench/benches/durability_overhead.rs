@@ -17,11 +17,12 @@
 
 use std::time::{Duration, Instant};
 
-use cell_bench::harness::Criterion;
+use cell_bench::harness::{write_artifact, Criterion};
 use cell_bench::{criterion_group, criterion_main};
 use cell_durable::{DurableConfig, DurableDisks, DurableServer, RunStatus};
 use cell_fault::FaultPlan;
 use cell_serve::{generate, Request, ServeConfig, WorkloadSpec};
+use cell_trace::json::JsonWriter;
 
 const SEED: u64 = 90_209;
 const REQUESTS: usize = 10;
@@ -117,6 +118,13 @@ fn measure_recovery(n: usize, checkpoint_every: u64) -> RecoveryPoint {
     }
 }
 
+fn write_point(w: &mut JsonWriter, p: &RecoveryPoint) {
+    w.begin_object().key("requests").u64(p.requests as u64);
+    w.key("tail_records").u64(p.tail_records);
+    w.key("replayed").u64(p.replayed as u64);
+    w.key("recovery_ms").fixed(p.recovery_ms, 3).end_object();
+}
+
 fn write_bench_json(
     off: Duration,
     on: Duration,
@@ -125,51 +133,28 @@ fn write_bench_json(
     checkpointed: &RecoveryPoint,
 ) -> std::io::Result<String> {
     let ratio = secs(on) / secs(off).max(1e-12);
-    let mut sweep = String::new();
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            sweep.push(',');
-        }
-        sweep.push_str(&format!(
-            concat!(
-                "{{\"requests\":{},\"tail_records\":{},",
-                "\"replayed\":{},\"recovery_ms\":{:.3}}}"
-            ),
-            p.requests, p.tail_records, p.replayed, p.recovery_ms
-        ));
+    let mut w = JsonWriter::default();
+    let requests = REQUESTS as f64;
+    w.begin_object().key("bench").str("BENCH_09");
+    w.key("seed").u64(SEED);
+    w.key("durability_overhead").begin_object();
+    w.key("requests").u64(REQUESTS as u64);
+    w.key("off_wall_ms").fixed(secs(off) * 1e3, 3);
+    w.key("on_wall_ms").fixed(secs(on) * 1e3, 3);
+    w.key("requests_per_sec_off").fixed(requests / secs(off), 1);
+    w.key("requests_per_sec_on").fixed(requests / secs(on), 1);
+    w.key("ratio").fixed(ratio, 4);
+    w.key("budget").f64(OVERHEAD_BUDGET);
+    w.key("journal_bytes").u64(journal_bytes);
+    w.end_object().key("recovery").begin_object();
+    w.key("full_replay").begin_array();
+    for p in points {
+        write_point(&mut w, p);
     }
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"BENCH_09\",\"seed\":{seed},",
-            "\"durability_overhead\":{{\"requests\":{reqs},",
-            "\"off_wall_ms\":{ow:.3},\"on_wall_ms\":{nw:.3},",
-            "\"requests_per_sec_off\":{rpo:.1},\"requests_per_sec_on\":{rpn:.1},",
-            "\"ratio\":{ratio:.4},\"budget\":{budget},",
-            "\"journal_bytes\":{jb}}},",
-            "\"recovery\":{{\"full_replay\":[{sweep}],",
-            "\"checkpointed\":{{\"requests\":{cr},\"tail_records\":{ct},",
-            "\"replayed\":{cp},\"recovery_ms\":{cm:.3}}}}}}}"
-        ),
-        seed = SEED,
-        reqs = REQUESTS,
-        ow = secs(off) * 1e3,
-        nw = secs(on) * 1e3,
-        rpo = REQUESTS as f64 / secs(off),
-        rpn = REQUESTS as f64 / secs(on),
-        ratio = ratio,
-        budget = OVERHEAD_BUDGET,
-        jb = journal_bytes,
-        sweep = sweep,
-        cr = checkpointed.requests,
-        ct = checkpointed.tail_records,
-        cp = checkpointed.replayed,
-        cm = checkpointed.recovery_ms,
-    );
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_09.json");
-    std::fs::write(&path, &json)?;
-    Ok(path.display().to_string())
+    w.end_array().key("checkpointed");
+    write_point(&mut w, checkpointed);
+    w.end_object().end_object();
+    write_artifact("BENCH_09", &w.finish())
 }
 
 fn bench_durability(c: &mut Criterion) {

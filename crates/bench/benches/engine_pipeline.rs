@@ -15,12 +15,13 @@
 //! benched separately below. Results are written to
 //! `target/bench/BENCH_05.json` for the CI artifact.
 
-use cell_bench::harness::{BenchmarkId, Criterion};
+use cell_bench::harness::{write_artifact, BenchmarkId, Criterion};
 use cell_bench::{
     criterion_group, criterion_main, measure_engine_batching, measure_engine_pipelining,
     small_workload, SEED,
 };
 use cell_core::{Frequency, VirtualDuration};
+use cell_trace::json::JsonWriter;
 
 const FRAMES: usize = 8;
 const MICRO_CALLS: usize = 64;
@@ -35,34 +36,23 @@ fn write_bench_json(
     unbatched: VirtualDuration,
     batched: VirtualDuration,
 ) -> std::io::Result<String> {
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"BENCH_05\",\"seed\":{seed},\"clock_ghz\":3.2,",
-            "\"pipeline\":{{\"frames\":{frames},\"window\":2,",
-            "\"send_and_wait_cycles\":{sc},\"pipelined_cycles\":{pc},",
-            "\"speedup\":{ps:.4}}},",
-            "\"batching\":{{\"calls\":{calls},\"max_batch\":{mb},",
-            "\"unbatched_cycles\":{uc},\"batched_cycles\":{bc},",
-            "\"speedup\":{bs:.4}}}}}"
-        ),
-        seed = SEED,
-        frames = FRAMES,
-        sc = cycles(serial),
-        pc = cycles(pipelined),
-        ps = serial.seconds() / pipelined.seconds(),
-        calls = MICRO_CALLS,
-        mb = portkit::opcodes::MAX_BATCH,
-        uc = cycles(unbatched),
-        bc = cycles(batched),
-        bs = unbatched.seconds() / batched.seconds(),
-    );
-    // Anchor on the crate dir so the artifact lands in the workspace
-    // `target/` whatever cwd cargo runs the bench from.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_05.json");
-    std::fs::write(&path, &json)?;
-    Ok(path.display().to_string())
+    let mut w = JsonWriter::default();
+    w.begin_object().key("bench").str("BENCH_05");
+    w.key("seed").u64(SEED).key("clock_ghz").f64(3.2);
+    w.key("pipeline").begin_object();
+    w.key("frames").u64(FRAMES as u64).key("window").u64(2);
+    w.key("send_and_wait_cycles").u64(cycles(serial));
+    w.key("pipelined_cycles").u64(cycles(pipelined));
+    let speedup = serial.seconds() / pipelined.seconds();
+    w.key("speedup").fixed(speedup, 4).end_object();
+    w.key("batching").begin_object();
+    w.key("calls").u64(MICRO_CALLS as u64);
+    w.key("max_batch").u64(portkit::opcodes::MAX_BATCH as u64);
+    w.key("unbatched_cycles").u64(cycles(unbatched));
+    w.key("batched_cycles").u64(cycles(batched));
+    let speedup = unbatched.seconds() / batched.seconds();
+    w.key("speedup").fixed(speedup, 4).end_object().end_object();
+    write_artifact("BENCH_05", &w.finish())
 }
 
 fn bench_engine(c: &mut Criterion) {

@@ -11,7 +11,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use cell_bench::harness::Criterion;
+use cell_bench::harness::{write_artifact, Criterion};
 use cell_bench::{criterion_group, criterion_main};
 use cell_core::{MachineConfig, MachineProfile, SplitMix64};
 use cell_isa::{
@@ -19,6 +19,7 @@ use cell_isa::{
     IsaProgram, KernelHeader, TraceSink, HIST_BINS,
 };
 use cell_sys::CellMachine;
+use cell_trace::json::JsonWriter;
 
 const SEED: u64 = 0xB10_CA1B;
 
@@ -137,35 +138,22 @@ fn seeded_traces() -> Vec<(&'static str, ExecTrace)> {
 }
 
 fn write_bench_json(cals: &[Calibration]) -> std::io::Result<String> {
-    let mut kernels = String::new();
-    for (i, c) in cals.iter().enumerate() {
-        if i > 0 {
-            kernels.push(',');
-        }
-        kernels.push_str(&format!(
-            concat!(
-                "{{\"kernel\":\"{}\",\"instructions\":{},",
-                "\"interpreted_cycles\":{},\"analytic_cycles\":{},",
-                "\"ratio\":{:.4},\"dual_issue_rate\":{:.4}}}"
-            ),
-            c.kernel, c.instructions, c.interpreted, c.analytic, c.ratio, c.dual_issue_rate,
-        ));
+    let mut w = JsonWriter::default();
+    w.begin_object().key("bench").str("BENCH_10");
+    w.key("seed").u64(SEED).key("tolerance").begin_array();
+    w.f64(TOLERANCE.0).f64(TOLERANCE.1).end_array();
+    w.key("kernels").begin_array();
+    for c in cals {
+        w.begin_object().key("kernel").str(c.kernel);
+        w.key("instructions").u64(c.instructions);
+        w.key("interpreted_cycles").u64(c.interpreted);
+        w.key("analytic_cycles").u64(c.analytic);
+        w.key("ratio").fixed(c.ratio, 4);
+        w.key("dual_issue_rate").fixed(c.dual_issue_rate, 4);
+        w.end_object();
     }
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"BENCH_10\",\"seed\":{seed},",
-            "\"tolerance\":[{lo},{hi}],\"kernels\":[{kernels}]}}"
-        ),
-        seed = SEED,
-        lo = TOLERANCE.0,
-        hi = TOLERANCE.1,
-        kernels = kernels,
-    );
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_10.json");
-    std::fs::write(&path, &json)?;
-    Ok(path.display().to_string())
+    w.end_array().end_object();
+    write_artifact("BENCH_10", &w.finish())
 }
 
 fn bench_isa(c: &mut Criterion) {

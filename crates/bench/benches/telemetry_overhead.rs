@@ -18,11 +18,12 @@
 
 use std::time::Duration;
 
-use cell_bench::harness::Criterion;
+use cell_bench::harness::{write_artifact, Criterion};
 use cell_bench::{
     criterion_group, criterion_main, measure_event_prealloc, measure_serve_throughput,
     measure_trace_overhead, small_workload, SEED,
 };
+use cell_trace::json::JsonWriter;
 
 const FRAMES: usize = 8;
 const REQUESTS: usize = 6;
@@ -45,39 +46,30 @@ fn write_bench_json(
     prereserved: Duration,
 ) -> std::io::Result<String> {
     let ratio = secs(full) / secs(off).max(1e-12);
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"BENCH_06\",\"seed\":{seed},\"clock_ghz\":3.2,",
-            "\"full_trace_overhead\":{{\"frames\":{frames},",
-            "\"off_wall_ms\":{ow:.3},\"full_wall_ms\":{fw:.3},",
-            "\"ratio\":{ratio:.4},\"budget\":{budget},",
-            "\"frames_per_sec_off\":{fpo:.1},\"frames_per_sec_full\":{fpf:.1}}},",
-            "\"serve_throughput\":{{\"requests\":{reqs},\"served\":{served},",
-            "\"wall_ms\":{sw:.3},\"requests_per_sec_wall\":{rps:.1}}},",
-            "\"event_prealloc\":{{\"events\":{ev},",
-            "\"cold_ms\":{cm:.3},\"prereserved_ms\":{pm:.3}}}}}"
-        ),
-        seed = SEED,
-        frames = FRAMES,
-        ow = secs(off) * 1e3,
-        fw = secs(full) * 1e3,
-        ratio = ratio,
-        budget = FULL_TRACE_BUDGET,
-        fpo = FRAMES as f64 / secs(off),
-        fpf = FRAMES as f64 / secs(full),
-        reqs = REQUESTS,
-        served = served,
-        sw = secs(serve_wall) * 1e3,
-        rps = served as f64 / secs(serve_wall),
-        ev = PREALLOC_EVENTS,
-        cm = secs(cold) * 1e3,
-        pm = secs(prereserved) * 1e3,
-    );
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("BENCH_06.json");
-    std::fs::write(&path, &json)?;
-    Ok(path.display().to_string())
+    let frames = FRAMES as f64;
+    let mut w = JsonWriter::default();
+    w.begin_object().key("bench").str("BENCH_06");
+    w.key("seed").u64(SEED).key("clock_ghz").f64(3.2);
+    w.key("full_trace_overhead").begin_object();
+    w.key("frames").u64(FRAMES as u64);
+    w.key("off_wall_ms").fixed(secs(off) * 1e3, 3);
+    w.key("full_wall_ms").fixed(secs(full) * 1e3, 3);
+    w.key("ratio").fixed(ratio, 4);
+    w.key("budget").f64(FULL_TRACE_BUDGET);
+    w.key("frames_per_sec_off").fixed(frames / secs(off), 1);
+    w.key("frames_per_sec_full").fixed(frames / secs(full), 1);
+    w.end_object().key("serve_throughput").begin_object();
+    w.key("requests").u64(REQUESTS as u64);
+    w.key("served").u64(served);
+    w.key("wall_ms").fixed(secs(serve_wall) * 1e3, 3);
+    let rps = served as f64 / secs(serve_wall);
+    w.key("requests_per_sec_wall").fixed(rps, 1).end_object();
+    w.key("event_prealloc").begin_object();
+    w.key("events").u64(PREALLOC_EVENTS as u64);
+    w.key("cold_ms").fixed(secs(cold) * 1e3, 3);
+    w.key("prereserved_ms").fixed(secs(prereserved) * 1e3, 3);
+    w.end_object().end_object();
+    write_artifact("BENCH_06", &w.finish())
 }
 
 fn bench_telemetry(c: &mut Criterion) {

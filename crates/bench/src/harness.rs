@@ -23,6 +23,16 @@ pub fn black_box<T>(x: T) -> T {
     bb(x)
 }
 
+/// Write a bench artifact to the workspace's `target/bench/<name>.json`,
+/// whatever cwd cargo runs the bench from, and return its path.
+pub fn write_artifact(name: &str, json: &str) -> std::io::Result<String> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench");
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("{name}.json"));
+    std::fs::write(&path, json)?;
+    Ok(path.display().to_string())
+}
+
 /// Mirror of `criterion::BatchSize`; only the variant the benches use.
 #[derive(Debug, Clone, Copy)]
 pub enum BatchSize {

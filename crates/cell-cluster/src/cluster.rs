@@ -6,7 +6,7 @@
 //!
 //! * **sharded routing** — the content key ([`FeatureCache::key_for`]:
 //!   `checksum32` of the payload) picks a *home* blade on a consistent
-//!   [`HashRing`]; when the home's queue is `fallback_depth` deep or the
+//!   [`HashRing`]; when the home's queue is `FALLBACK_DEPTH` deep or the
 //!   home left the ring, the router falls back to the least-loaded live
 //!   blade;
 //! * **blade supervision** — the PR-4 supervision stack reused one
@@ -46,11 +46,23 @@ use cell_core::{CellError, CellResult, VirtualDuration};
 use cell_fault::{FaultKind, FaultLine, FaultPlan, FaultSite};
 use cell_serve::{CellServer, Outcome, Request, Response, ServeConfig, ServeOutput, ShedReason};
 use cell_telemetry::MetricsRegistry;
+use cell_trace::json::JsonWriter;
 use cell_trace::{EventKind, TraceConfig, TraceReport, Tracer, Track};
 use portkit::supervise::{BreakerState, CircuitBreaker, Heartbeats};
 
 use crate::cache::{ContentKey, FeatureCache};
 use crate::ring::HashRing;
+
+/// Hash points per blade on the consistent ring.
+const VNODES: usize = 16;
+
+/// Home-blade queue depth at which the router falls back to the
+/// least-loaded live blade instead.
+const FALLBACK_DEPTH: usize = 6;
+
+/// A blade silent longer than this many router ticks gets a watchdog
+/// probe.
+const BLADE_HEARTBEAT_TICKS: u64 = 3;
 
 /// Cluster-level knobs. Times suffixed `_ticks` are router logical
 /// ticks (one per routed request); everything inside `serve` stays in
@@ -59,19 +71,12 @@ use crate::ring::HashRing;
 pub struct ClusterConfig {
     /// Number of blades (whole simulated Cell machines).
     pub blades: usize,
-    /// Hash points per blade on the consistent ring.
-    pub vnodes: usize,
-    /// Home-blade queue depth at which the router falls back to the
-    /// least-loaded live blade instead.
-    pub fallback_depth: usize,
     /// Enable the router's content-addressed feature cache.
     pub cache: bool,
     /// Consecutive blade failures before its breaker trips open.
     pub blade_breaker_threshold: u32,
     /// Ticks an open blade breaker waits before a respawn attempt.
     pub blade_breaker_cooldown: u64,
-    /// A blade silent longer than this many ticks gets a watchdog probe.
-    pub blade_heartbeat_ticks: u64,
     /// Per-blade serving config. The `seed` fixes the models on *every*
     /// blade, which is what makes cross-blade failover byte-identical.
     pub serve: ServeConfig,
@@ -88,12 +93,9 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             blades: 2,
-            vnodes: 16,
-            fallback_depth: 6,
             cache: true,
             blade_breaker_threshold: 2,
             blade_breaker_cooldown: 8,
-            blade_heartbeat_ticks: 3,
             serve: ServeConfig::default(),
             trace: TraceConfig::Off,
             base_generations: Vec::new(),
@@ -173,29 +175,23 @@ pub struct ClusterReport {
 impl ClusterReport {
     /// Machine-readable one-line summary for CI artifacts.
     pub fn summary_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"requests\":{},\"served\":{},\"degraded\":{},\"shed\":{},",
-                "\"cache_hits\":{},\"cache_misses\":{},\"cache_bypasses\":{},",
-                "\"fallback_routed\":{},\"blade_crashes\":{},",
-                "\"blade_respawns\":{},\"blade_breaker_trips\":{},",
-                "\"failover_replayed\":{},\"ticks\":{},\"elapsed_ms\":{:.3}}}"
-            ),
-            self.requests,
-            self.served,
-            self.degraded_served,
-            self.shed,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_bypasses,
-            self.fallback_routed,
-            self.blade_crashes,
-            self.blade_respawns,
-            self.blade_breaker_trips,
-            self.failover_replayed,
-            self.ticks,
-            self.elapsed.millis(),
-        )
+        let mut w = JsonWriter::default();
+        w.begin_object().key("requests").u64(self.requests);
+        w.key("served").u64(self.served);
+        w.key("degraded").u64(self.degraded_served);
+        w.key("shed").u64(self.shed);
+        w.key("cache_hits").u64(self.cache_hits);
+        w.key("cache_misses").u64(self.cache_misses);
+        w.key("cache_bypasses").u64(self.cache_bypasses);
+        w.key("fallback_routed").u64(self.fallback_routed);
+        w.key("blade_crashes").u64(self.blade_crashes);
+        w.key("blade_respawns").u64(self.blade_respawns);
+        w.key("blade_breaker_trips").u64(self.blade_breaker_trips);
+        w.key("failover_replayed").u64(self.failover_replayed);
+        w.key("ticks").u64(self.ticks);
+        w.key("elapsed_ms").fixed(self.elapsed.millis(), 3);
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -273,7 +269,7 @@ impl CellCluster {
                 retired: Vec::new(),
             });
         }
-        let ring = HashRing::new(cfg.blades, cfg.vnodes);
+        let ring = HashRing::new(cfg.blades, VNODES);
         let heartbeats = Heartbeats::new(cfg.blades);
         let tracer = Tracer::new(cfg.trace, Track::Router, 1.0);
         Ok(CellCluster {
@@ -463,9 +459,7 @@ impl CellCluster {
         for b in 0..self.blades.len() {
             let state = self.blades[b].state;
             let silent = matches!(state, BladeState::Joined | BladeState::Hung)
-                && self
-                    .heartbeats
-                    .silent(b, self.tick, self.cfg.blade_heartbeat_ticks);
+                && self.heartbeats.silent(b, self.tick, BLADE_HEARTBEAT_TICKS);
             if !silent {
                 continue;
             }
@@ -589,7 +583,7 @@ impl CellCluster {
     /// the least-loaded in-ring blade (ties to the lowest index).
     fn pick_target(&self, home: Option<usize>) -> Option<usize> {
         if let Some(h) = home {
-            if self.ring.contains(h) && self.queue_depth(h) < self.cfg.fallback_depth {
+            if self.ring.contains(h) && self.queue_depth(h) < FALLBACK_DEPTH {
                 return Some(h);
             }
         }
@@ -878,7 +872,7 @@ impl CellCluster {
             self.tick += 1;
             self.supervise()?;
             guard += 1;
-            if guard > 4 * (self.cfg.blade_heartbeat_ticks + 1) * self.blades.len() as u64 + 16 {
+            if guard > 4 * (BLADE_HEARTBEAT_TICKS + 1) * self.blades.len() as u64 + 16 {
                 break;
             }
         }

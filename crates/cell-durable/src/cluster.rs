@@ -258,7 +258,7 @@ impl DurableCluster {
 
         for request in recovered.replay {
             report.replayed.push(request.id);
-            durable.wal.replay(&request);
+            durable.wal.replay();
             let cluster = durable.cluster.as_mut().expect("alive cluster");
             cluster.record_recovery("journal_replay", request.id, u64::from(durable.wal.epoch));
             cluster.submit(request)?;

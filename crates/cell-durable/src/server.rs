@@ -14,6 +14,7 @@ use cell_core::{CellError, CellResult};
 use cell_fault::FaultPlan;
 use cell_serve::{CellServer, Outcome, Request, ServeConfig, ServeOutput, ShedReason};
 use cell_telemetry::MetricsRegistry;
+use cell_trace::json::JsonWriter;
 use portkit::CommitLedger;
 
 use crate::journal::Record;
@@ -88,24 +89,22 @@ pub struct RecoveryReport {
 impl RecoveryReport {
     /// Machine-readable one-line summary for CI artifacts.
     pub fn summary_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"epoch\":{},\"checkpoint_seq\":{},\"watermark\":{},",
-                "\"tail_records\":{},\"discarded_bytes\":{},",
-                "\"corrupt_suffix\":{},\"committed\":{},\"replayed\":{},",
-                "\"cache_restored\":{}}}"
-            ),
-            self.epoch,
-            self.checkpoint_seq
-                .map_or("null".to_string(), |s| s.to_string()),
-            self.watermark,
-            self.tail_records,
-            self.discarded_bytes,
-            self.corrupt_suffix,
-            self.committed,
-            self.replayed.len(),
-            self.cache_restored,
-        )
+        let mut w = JsonWriter::default();
+        w.begin_object().key("epoch").u64(u64::from(self.epoch));
+        w.key("checkpoint_seq");
+        match self.checkpoint_seq {
+            Some(seq) => w.u64(seq),
+            None => w.null(),
+        };
+        w.key("watermark").u64(self.watermark);
+        w.key("tail_records").u64(self.tail_records);
+        w.key("discarded_bytes").u64(self.discarded_bytes);
+        w.key("corrupt_suffix").bool(self.corrupt_suffix);
+        w.key("committed").u64(self.committed);
+        w.key("replayed").u64(self.replayed.len() as u64);
+        w.key("cache_restored").u64(self.cache_restored);
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -124,21 +123,16 @@ pub struct DurableReport {
 
 impl DurableReport {
     pub fn summary_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"epoch\":{},\"appends\":{},\"flushes\":{},",
-                "\"lost_flushes\":{},\"torn_writes\":{},\"checkpoints\":{},",
-                "\"replays\":{},\"journal_bytes\":{}}}"
-            ),
-            self.epoch,
-            self.appends,
-            self.flushes,
-            self.lost_flushes,
-            self.torn_writes,
-            self.checkpoints,
-            self.replays,
-            self.journal_bytes,
-        )
+        let mut w = JsonWriter::default();
+        w.begin_object().key("epoch").u64(u64::from(self.epoch));
+        w.key("appends").u64(self.appends);
+        w.key("flushes").u64(self.flushes);
+        w.key("lost_flushes").u64(self.lost_flushes);
+        w.key("torn_writes").u64(self.torn_writes);
+        w.key("checkpoints").u64(self.checkpoints);
+        w.key("replays").u64(self.replays);
+        w.key("journal_bytes").u64(self.journal_bytes).end_object();
+        w.finish()
     }
 }
 
@@ -339,7 +333,7 @@ impl DurableServer {
         let mut report = recovered.report;
         for request in recovered.replay {
             report.replayed.push(request.id);
-            durable.wal.replay(&request);
+            durable.wal.replay();
             let server = durable.server.as_mut().expect("alive server");
             server.record_recovery("journal_replay", request.id, u64::from(durable.wal.epoch));
             server.capture_flight_dump("recovery_replay");
@@ -369,4 +363,42 @@ pub fn durable_commit_log(journal: &[u8]) -> Vec<(u64, u32, u8, u32)> {
             _ => None,
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn summaries_are_pinned() {
+        let mut recovery = RecoveryReport {
+            epoch: 2,
+            checkpoint_seq: None,
+            watermark: 0,
+            tail_records: 9,
+            discarded_bytes: 4,
+            corrupt_suffix: true,
+            committed: 3,
+            replayed: vec![5, 6],
+            cache_restored: 0,
+        };
+        assert_eq!(recovery.summary_json(), "{\"epoch\":2,\"checkpoint_seq\":null,\"watermark\":0,\"tail_records\":9,\"discarded_bytes\":4,\"corrupt_suffix\":true,\"committed\":3,\"replayed\":2,\"cache_restored\":0}");
+        recovery.checkpoint_seq = Some(1);
+        recovery.watermark = 10_400;
+        recovery.corrupt_suffix = false;
+        recovery.replayed.clear();
+        assert_eq!(recovery.summary_json(), "{\"epoch\":2,\"checkpoint_seq\":1,\"watermark\":10400,\"tail_records\":9,\"discarded_bytes\":4,\"corrupt_suffix\":false,\"committed\":3,\"replayed\":0,\"cache_restored\":0}");
+
+        let durable = DurableReport {
+            epoch: 1,
+            appends: 23,
+            flushes: 11,
+            lost_flushes: 1,
+            torn_writes: 0,
+            checkpoints: 2,
+            replays: 2,
+            journal_bytes: 31_287,
+        };
+        assert_eq!(durable.summary_json(), "{\"epoch\":1,\"appends\":23,\"flushes\":11,\"lost_flushes\":1,\"torn_writes\":0,\"checkpoints\":2,\"replays\":2,\"journal_bytes\":31287}");
+    }
 }

@@ -246,14 +246,13 @@ impl Wal {
     }
 
     /// Count one recovery re-admission. Its `Admit` is already durable
-    /// (journal tail or checkpoint), so it only rejoins the pending set
-    /// and its replay appends a fresh `Commit` at the new epoch.
-    pub(crate) fn replay(&mut self, request: &Request) {
+    /// and [`Wal::recover`] already holds it pending; its replay appends
+    /// a fresh `Commit` at the new epoch.
+    pub(crate) fn replay(&mut self) {
         self.replays += 1;
         self.metrics.inc("recovery_replays_total", 1);
         self.metrics
             .set_gauge("durable_replays", self.replays as f64);
-        self.pending.insert(request.id, request.clone());
     }
 
     /// The crash images after a crash, else what a crash right now
@@ -380,8 +379,11 @@ impl Wal {
         wal.ledger = ledger;
         wal.ckpt_seq = checkpoint_seq.unwrap_or(0);
 
-        let mut replay: Vec<Request> = pending.into_values().collect();
+        // Every replay is pending before the first one runs, so a
+        // checkpoint written mid-replay still holds the rest.
+        let mut replay: Vec<Request> = pending.values().cloned().collect();
         replay.sort_by_key(|r| (r.arrival, r.id));
+        wal.pending = pending;
         let report = RecoveryReport {
             epoch,
             checkpoint_seq,

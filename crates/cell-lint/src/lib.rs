@@ -116,6 +116,65 @@ mod tests {
         assert!(json.contains("\"errors\":1"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert_eq!(json,
+            "{\"port\":\"tiny\",\"errors\":1,\"warnings\":0,\"hints\":1,\"findings\":[\
+            {\"severity\":\"error\",\"rule\":\"transfer-size\",\"subject\":\"kernel `k` (SPE 0)\",\"message\":\"24-byte transfers are not a legal MFC size\"},\
+            {\"severity\":\"hint\",\"rule\":\"kernel-too-small\",\"subject\":\"kernel `k` (SPE 0)\",\"message\":\"the kernel moves very little data per invocation; mailbox and DMA startup may dominate — cluster more methods around it (§3.2)\"}]}"
+        );
+
+        // No findings; then several, with a port, subject and message
+        // needing every escape.
+        let mut report = LintReport {
+            port: "p\"q".to_string(),
+            findings: Vec::new(),
+        };
+        assert_eq!(
+            report.to_json(),
+            "{\"port\":\"p\\\"q\",\"errors\":0,\"warnings\":0,\"hints\":0,\"findings\":[]}"
+        );
+        report.findings = vec![
+            Finding::new(
+                Severity::Warning,
+                "w-rule",
+                "s\\t".to_string(),
+                "line1\nline2\u{1b}".to_string(),
+            ),
+            Finding::new(Severity::Hint, "h-rule", String::new(), "\"q\"".to_string()),
+        ];
+        assert_eq!(report.to_json(),
+            "{\"port\":\"p\\\"q\",\"errors\":0,\"warnings\":1,\"hints\":1,\"findings\":[\
+            {\"severity\":\"warning\",\"rule\":\"w-rule\",\"subject\":\"s\\\\t\",\"message\":\"line1\\nline2\\u001b\"},\
+            {\"severity\":\"hint\",\"rule\":\"h-rule\",\"subject\":\"\",\"message\":\"\\\"q\\\"\"}]}"
+        );
+
+        // The model checker's report: the same findings, its own header.
+        let mut mc = McReport {
+            port: "tiny".to_string(),
+            findings: Vec::new(),
+            stats: McStats {
+                scripts: 1,
+                variants: 2,
+                states: 30,
+                transitions: 41,
+                peak_states: 17,
+            },
+        };
+        assert_eq!(mc.to_json(),
+            "{\"port\":\"tiny\",\"mode\":\"mc\",\"errors\":0,\"scripts\":1,\"variants\":2,\"states\":30,\"transitions\":41,\"peak_states\":17,\"findings\":[]}"
+        );
+        mc.findings = report.findings;
+        mc.findings.push(Finding::new(
+            Severity::Error,
+            "mc-deadlock",
+            "script 0".to_string(),
+            "stuck".to_string(),
+        ));
+        assert_eq!(mc.to_json(),
+            "{\"port\":\"tiny\",\"mode\":\"mc\",\"errors\":1,\"scripts\":1,\"variants\":2,\"states\":30,\"transitions\":41,\"peak_states\":17,\"findings\":[\
+            {\"severity\":\"warning\",\"rule\":\"w-rule\",\"subject\":\"s\\\\t\",\"message\":\"line1\\nline2\\u001b\"},\
+            {\"severity\":\"hint\",\"rule\":\"h-rule\",\"subject\":\"\",\"message\":\"\\\"q\\\"\"},\
+            {\"severity\":\"error\",\"rule\":\"mc-deadlock\",\"subject\":\"script 0\",\"message\":\"stuck\"}]}"
+        );
     }
 
     #[test]

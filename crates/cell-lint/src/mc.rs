@@ -56,11 +56,11 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 
-use cell_trace::escape_json;
+use cell_trace::json::JsonWriter;
 use portkit::advisor::Severity;
 
 use crate::model::{DispatchScript, PortModel, ScriptOp, SupervisionModel};
-use crate::rules::Finding;
+use crate::rules::{write_findings, Finding};
 
 /// Inbound-mailbox depth on the modeled machine (words).
 pub const INBOX_DEPTH: usize = 4;
@@ -110,7 +110,7 @@ pub struct McStats {
 
 /// The model-checking result for one port. Same finding/report
 /// conventions as [`crate::rules::LintReport`]: stable rule ids,
-/// severity-gated exit, hand-rolled JSON.
+/// severity-gated exit, the same JSON shape.
 #[derive(Debug, Clone)]
 #[must_use = "a model-checking report carries Error findings CI must gate on"]
 pub struct McReport {
@@ -144,27 +144,18 @@ impl McReport {
     /// The machine-readable report (`target/lint/mc_<port>.json`).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(192 + self.findings.len() * 256);
-        out.push_str("{\"port\":\"");
-        escape_json(&self.port, &mut out);
-        let _ = write!(
-            out,
-            "\",\"mode\":\"mc\",\"errors\":{},\"scripts\":{},\"variants\":{},\"states\":{},\"transitions\":{},\"peak_states\":{},\"findings\":[",
-            self.error_count(),
-            self.stats.scripts,
-            self.stats.variants,
-            self.stats.states,
-            self.stats.transitions,
-            self.stats.peak_states,
-        );
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&f.to_json());
-        }
-        out.push_str("]}");
-        out
+        let mut w = JsonWriter::default();
+        w.begin_object().key("port").str(&self.port);
+        w.key("mode").str("mc");
+        w.key("errors").u64(self.error_count() as u64);
+        w.key("scripts").u64(self.stats.scripts as u64);
+        w.key("variants").u64(self.stats.variants as u64);
+        w.key("states").u64(self.stats.states as u64);
+        w.key("transitions").u64(self.stats.transitions as u64);
+        w.key("peak_states").u64(self.stats.peak_states as u64);
+        write_findings(&mut w, &self.findings);
+        w.end_object();
+        w.finish()
     }
 
     /// Human-readable summary, one line per finding.

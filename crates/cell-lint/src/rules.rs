@@ -39,7 +39,7 @@ use std::fmt::Write as _;
 
 use cell_core::config::DMA_LIST_MAX_ELEMENTS;
 use cell_core::QUADWORD;
-use cell_trace::escape_json;
+use cell_trace::json::JsonWriter;
 use portkit::advisor::{self, Advice, Severity};
 use portkit::opcodes::SPU_EXIT;
 
@@ -71,21 +71,25 @@ impl Finding {
         Finding::new(a.severity, a.rule, subject.to_string(), a.message)
     }
 
-    /// Render as one JSON object (hand-rolled, no dependencies).
+    /// Render as one JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96 + self.message.len());
-        out.push_str("{\"severity\":\"");
-        out.push_str(self.severity.as_str());
-        out.push_str("\",\"rule\":\"");
-        out.push_str(self.rule);
-        out.push_str("\",\"subject\":\"");
-        escape_json(&self.subject, &mut out);
-        out.push_str("\",\"message\":\"");
-        escape_json(&self.message, &mut out);
-        out.push_str("\"}");
-        out
+        let mut w = JsonWriter::default();
+        w.begin_object().key("severity").str(self.severity.as_str());
+        w.key("rule").str(self.rule);
+        w.key("subject").str(&self.subject);
+        w.key("message").str(&self.message).end_object();
+        w.finish()
     }
+}
+
+/// The `findings` array every lint and model-checking report ends with.
+pub(crate) fn write_findings(w: &mut JsonWriter, findings: &[Finding]) {
+    w.key("findings").begin_array();
+    for f in findings {
+        w.raw(&f.to_json());
+    }
+    w.end_array();
 }
 
 /// Per-rule allow/deny configuration. `allow` drops a rule's findings
@@ -166,21 +170,14 @@ impl LintReport {
             .filter(|f| f.severity == Severity::Warning)
             .count();
         let hints = self.findings.len() - errors - warnings;
-        let mut out = String::with_capacity(128 + self.findings.len() * 160);
-        out.push_str("{\"port\":\"");
-        escape_json(&self.port, &mut out);
-        let _ = write!(
-            out,
-            "\",\"errors\":{errors},\"warnings\":{warnings},\"hints\":{hints},\"findings\":["
-        );
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&f.to_json());
-        }
-        out.push_str("]}");
-        out
+        let mut w = JsonWriter::default();
+        w.begin_object().key("port").str(&self.port);
+        w.key("errors").u64(errors as u64);
+        w.key("warnings").u64(warnings as u64);
+        w.key("hints").u64(hints as u64);
+        write_findings(&mut w, &self.findings);
+        w.end_object();
+        w.finish()
     }
 
     /// Human-readable summary, one line per finding.

@@ -37,7 +37,8 @@ use cell_sys::machine::{CellMachine, SpeHandle, SpeReport};
 use cell_sys::ppe::Ppe;
 use cell_sys::spe::SpeEnv;
 use cell_telemetry::{FlightDump, MetricsRegistry};
-use cell_trace::{Counter, EventKind, LogHistogram, TraceConfig, TraceReport, FLIGHT_CAPACITY};
+use cell_trace::json::JsonWriter;
+use cell_trace::{Counter, EventKind, LogHistogram, TraceConfig, TraceReport};
 use marvel::app::{MarvelModels, CD_KERNEL, EXTRACT_KINDS};
 use marvel::features::{Feature, KernelKind};
 use marvel::image::ColorImage;
@@ -131,6 +132,15 @@ pub enum Outcome {
     Shed { id: u64, reason: ShedReason },
 }
 
+/// An alive SPE silent longer than this many PPE cycles gets a watchdog
+/// probe.
+const HEARTBEAT_TIMEOUT: u64 = 100_000_000;
+
+/// Cap on automatic [`FlightDump`]s per run (breaker trips, respawns and
+/// retransmits past the cap still count, but stop dumping). Each dump
+/// holds the PPE tracer's last [`cell_trace::FLIGHT_CAPACITY`] events.
+const MAX_FLIGHT_DUMPS: usize = 4;
+
 /// Serving-runtime knobs. All times are PPE cycles (3.2 GHz virtual).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -146,8 +156,6 @@ pub struct ServeConfig {
     pub breaker_threshold: u32,
     /// Cycles an open breaker waits before allowing a respawn probe.
     pub breaker_cooldown: u64,
-    /// An alive SPE silent longer than this gets a watchdog probe.
-    pub heartbeat_timeout: u64,
     /// Reply deadline for one probe dispatch.
     pub probe_timeout: u64,
     /// Arm MFC checksum-verify-retransmit on every DMA transfer.
@@ -161,12 +169,6 @@ pub struct ServeConfig {
     /// untelemetered run (results stay byte-identical; recovery timing
     /// may differ).
     pub request_spans: bool,
-    /// PPE flight-recorder window: how many recent events the tracer
-    /// retains for post-mortem dumps even under `TraceConfig::Counters`.
-    pub flight_capacity: usize,
-    /// Cap on automatic [`FlightDump`]s per run (breaker trips, respawns
-    /// and retransmits past the cap still count, but stop dumping).
-    pub max_flight_dumps: usize,
     /// Memory domain for trace-epoch stamping: 0 for a standalone server;
     /// a cluster assigns each blade incarnation a distinct domain so
     /// merged cross-blade traces keep their machines' events apart.
@@ -183,14 +185,11 @@ impl Default for ServeConfig {
             degrade_critical: 6,
             breaker_threshold: 2,
             breaker_cooldown: 10_000_000,
-            heartbeat_timeout: 100_000_000,
             probe_timeout: 2_000_000,
             mfc_integrity: true,
             policy: RetryPolicy::default(),
             trace: TraceConfig::Off,
             request_spans: false,
-            flight_capacity: FLIGHT_CAPACITY,
-            max_flight_dumps: 4,
             epoch_domain: 0,
         }
     }
@@ -219,28 +218,23 @@ pub struct ServeReport {
 impl ServeReport {
     /// Machine-readable one-line summary for CI artifacts.
     pub fn summary_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"served\":{},\"degraded\":{},\"shed_overload\":{},",
-                "\"shed_deadline\":{},\"respawns\":{},\"breaker_trips\":{},",
-                "\"retransmits\":{},\"survivors\":{},\"max_queue_depth\":{},",
-                "\"elapsed_ms\":{:.3},\"latency_p50_cycles\":{},",
-                "\"latency_p95_cycles\":{},\"latency_p99_cycles\":{}}}"
-            ),
-            self.served,
-            self.degraded_served,
-            self.shed_overload,
-            self.shed_deadline,
-            self.respawns,
-            self.breaker_trips,
-            self.retransmits,
-            self.survivors,
-            self.max_queue_depth,
-            self.elapsed.seconds() * 1e3,
-            self.latency.percentile(0.50),
-            self.latency.percentile(0.95),
-            self.latency.percentile(0.99),
-        )
+        let mut w = JsonWriter::default();
+        w.begin_object().key("served").u64(self.served);
+        w.key("degraded").u64(self.degraded_served);
+        w.key("shed_overload").u64(self.shed_overload);
+        w.key("shed_deadline").u64(self.shed_deadline);
+        w.key("respawns").u64(self.respawns);
+        w.key("breaker_trips").u64(self.breaker_trips);
+        w.key("retransmits").u64(self.retransmits);
+        w.key("survivors").u64(self.survivors as u64);
+        w.key("max_queue_depth").u64(self.max_queue_depth as u64);
+        w.key("elapsed_ms").fixed(self.elapsed.seconds() * 1e3, 3);
+        let latency = &self.latency;
+        w.key("latency_p50_cycles").u64(latency.percentile(0.50));
+        w.key("latency_p95_cycles").u64(latency.percentile(0.95));
+        w.key("latency_p99_cycles").u64(latency.percentile(0.99));
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -361,8 +355,7 @@ impl CellServer {
         machine.set_trace_config(cfg.trace);
         machine.set_epoch_domain(cfg.epoch_domain);
         machine.set_fault_plan(plan);
-        let mut ppe = machine.ppe();
-        ppe.tracer_mut().set_flight_capacity(cfg.flight_capacity);
+        let ppe = machine.ppe();
         let models = MarvelModels::synthetic(cfg.seed);
 
         let mem = Arc::clone(ppe.mem());
@@ -611,7 +604,7 @@ impl CellServer {
     /// Snapshot the PPE flight recorder plus the metrics registry into a
     /// [`FlightDump`], up to the configured cap.
     fn maybe_dump(&mut self, reason: &str) {
-        if self.flight_dumps.len() >= self.cfg.max_flight_dumps {
+        if self.flight_dumps.len() >= MAX_FLIGHT_DUMPS {
             return;
         }
         let at_cycles = self.ppe.clock.now();
@@ -637,7 +630,7 @@ impl CellServer {
 
     /// Snapshot the flight recorder under an external trigger. The
     /// durable runtime arms a dump on every recovery replay; the same
-    /// `max_flight_dumps` cap as the internal triggers applies.
+    /// `MAX_FLIGHT_DUMPS` cap as the internal triggers applies.
     pub fn capture_flight_dump(&mut self, reason: &str) {
         self.maybe_dump(reason);
     }
@@ -651,9 +644,7 @@ impl CellServer {
     pub fn supervise(&mut self) -> CellResult<()> {
         let now = self.ppe.clock.now();
         for spe in 0..self.engine.num_spes() {
-            if self.engine.alive()[spe]
-                && self.heartbeats.silent(spe, now, self.cfg.heartbeat_timeout)
-            {
+            if self.engine.alive()[spe] && self.heartbeats.silent(spe, now, HEARTBEAT_TIMEOUT) {
                 if self.probe_spe(spe)? {
                     continue;
                 }
@@ -1256,5 +1247,33 @@ impl CellServer {
             metrics: self.metrics,
             flight_dumps: self.flight_dumps,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn summary_json_is_pinned() {
+        let mut latency = LogHistogram::new();
+        for cycles in [900, 5_000, 70_000] {
+            latency.record(cycles);
+        }
+        let report = ServeReport {
+            outcomes: Vec::new(),
+            served: 6,
+            degraded_served: 1,
+            shed_overload: 2,
+            shed_deadline: 0,
+            respawns: 1,
+            breaker_trips: 0,
+            retransmits: 3,
+            survivors: 8,
+            max_queue_depth: 5,
+            elapsed: VirtualDuration::from_seconds(0.004_321_5),
+            latency,
+        };
+        assert_eq!(report.summary_json(), "{\"served\":6,\"degraded\":1,\"shed_overload\":2,\"shed_deadline\":0,\"respawns\":1,\"breaker_trips\":0,\"retransmits\":3,\"survivors\":8,\"max_queue_depth\":5,\"elapsed_ms\":4.321,\"latency_p50_cycles\":8191,\"latency_p95_cycles\":131071,\"latency_p99_cycles\":131071}");
     }
 }

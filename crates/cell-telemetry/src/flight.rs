@@ -7,9 +7,8 @@
 //! snapshots that ring plus the metrics registry into a [`FlightDump`],
 //! so every `cell-fault` soak failure ships its own evidence.
 
-use std::fmt::Write as _;
-
-use cell_trace::{escape_json, TraceEvent};
+use cell_trace::json::JsonWriter;
+use cell_trace::TraceEvent;
 
 use crate::metrics::MetricsRegistry;
 
@@ -51,32 +50,21 @@ impl FlightDump {
 
     /// Self-contained JSON artifact (uploadable from CI as-is).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.events.len() * 120);
-        out.push_str("{\"reason\":\"");
-        escape_json(&self.reason, &mut out);
-        let _ = write!(
-            out,
-            "\",\"at_cycles\":{},\"at_wall_us\":{},\"metrics\":{},\"events\":[",
-            self.at_cycles, self.at_wall_us, self.metrics_json
-        );
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"ts\":{},\"dur\":{},\"kind\":\"{:?}\",\"label\":\"",
-                e.ts, e.dur, e.kind
-            );
-            escape_json(e.label, &mut out);
-            let _ = write!(
-                out,
-                "\",\"arg0\":{},\"arg1\":{},\"ea\":{},\"span\":{}}}",
-                e.arg0, e.arg1, e.ea, e.span
-            );
+        let mut w = JsonWriter::default();
+        w.begin_object().key("reason").str(&self.reason);
+        w.key("at_cycles").u64(self.at_cycles);
+        w.key("at_wall_us").u64(self.at_wall_us);
+        w.key("metrics").raw(&self.metrics_json);
+        w.key("events").begin_array();
+        for e in &self.events {
+            w.begin_object().key("ts").u64(e.ts).key("dur").u64(e.dur);
+            w.key("kind").str(&format!("{:?}", e.kind));
+            w.key("label").str(e.label);
+            w.key("arg0").u64(e.arg0).key("arg1").u64(e.arg1);
+            w.key("ea").u64(e.ea).key("span").u64(e.span).end_object();
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
+        w.finish()
     }
 }
 
@@ -103,5 +91,17 @@ mod tests {
         assert!(json.contains("\"span\":9"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert_eq!(json,
+            "{\"reason\":\"breaker_open\",\"at_cycles\":1234,\"at_wall_us\":56,\"metrics\":{\"counters\":{\"breaker_trips_total\":1},\
+            \"gauges\":{},\"histograms\":{}},\"events\":[\
+            {\"ts\":10,\"dur\":0,\"kind\":\"Recovery\",\"label\":\"breaker_open\",\"arg0\":3,\"arg1\":0,\"ea\":0,\"span\":0},\
+            {\"ts\":20,\"dur\":5,\"kind\":\"Request\",\"label\":\"request\",\"arg0\":1,\"arg1\":0,\"ea\":0,\"span\":9}]}"
+        );
+        // An empty ring, an empty registry, a reason needing every escape.
+        let dump = FlightDump::capture("x\"y\\z\n\u{7}", 0, 0, Vec::new(), &MetricsRegistry::new());
+        assert_eq!(dump.to_json(),
+            "{\"reason\":\"x\\\"y\\\\z\\n\\u0007\",\"at_cycles\":0,\"at_wall_us\":0,\"metrics\":{\"counters\":{},\
+            \"gauges\":{},\"histograms\":{}},\"events\":[]}"
+        );
     }
 }

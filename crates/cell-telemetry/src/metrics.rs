@@ -9,7 +9,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use cell_trace::{escape_json, LogHistogram};
+use cell_trace::json::JsonWriter;
+use cell_trace::LogHistogram;
 
 /// The quantiles every histogram exports (Prometheus summary style).
 pub const QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")];
@@ -115,55 +116,29 @@ impl MetricsRegistry {
         out
     }
 
-    /// JSON snapshot with the same content as the Prometheus export.
+    /// JSON snapshot with the same content as the Prometheus export. A
+    /// non-finite gauge exports as `null`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"counters\":{");
-        let mut first = true;
+        let mut w = JsonWriter::default();
+        w.begin_object().key("counters").begin_object();
         for (name, value) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('"');
-            escape_json(name, &mut out);
-            let _ = write!(out, "\":{value}");
+            w.key(name).u64(*value);
         }
-        out.push_str("},\"gauges\":{");
-        let mut first = true;
+        w.end_object().key("gauges").begin_object();
         for (name, value) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('"');
-            escape_json(name, &mut out);
-            let _ = write!(out, "\":{value}");
+            w.key(name).f64(*value);
         }
-        out.push_str("},\"histograms\":{");
-        let mut first = true;
+        w.end_object().key("histograms").begin_object();
         for (name, h) in &self.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('"');
-            escape_json(name, &mut out);
-            let _ = write!(
-                out,
-                "\":{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.3},\
-                 \"p50\":{},\"p95\":{},\"p99\":{}}}",
-                h.count(),
-                h.sum(),
-                h.max(),
-                h.mean(),
-                h.percentile(0.5),
-                h.percentile(0.95),
-                h.percentile(0.99),
-            );
+            w.key(name).begin_object();
+            w.key("count").u64(h.count()).key("sum").u64(h.sum());
+            w.key("max").u64(h.max()).key("mean").fixed(h.mean(), 3);
+            w.key("p50").u64(h.percentile(0.5));
+            w.key("p95").u64(h.percentile(0.95));
+            w.key("p99").u64(h.percentile(0.99)).end_object();
         }
-        out.push_str("}}");
-        out
+        w.end_object().end_object();
+        w.finish()
     }
 }
 
@@ -239,6 +214,10 @@ mod tests {
         assert!(json.contains("\"b\":2.5"));
         assert!(json.contains("\"p95\":"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json,
+            "{\"counters\":{\"a\":1},\"gauges\":{\"b\":2.5},\
+            \"histograms\":{\"c\":{\"count\":1,\"sum\":9,\"max\":9,\"mean\":9.000,\"p50\":15,\"p95\":15,\"p99\":15}}}"
+        );
         // Empty registry still exports valid skeletons.
         let empty = MetricsRegistry::new();
         assert_eq!(
@@ -246,5 +225,38 @@ mod tests {
             "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
         );
         assert!(empty.to_prometheus_text().is_empty());
+        // Several entries per section, names needing every escape, and a
+        // mean that rounds to three decimals.
+        let mut m = MetricsRegistry::new();
+        m.inc("a\"b\\c\nd\u{2}", 7);
+        m.inc("z", 0);
+        m.set_gauge("g1", 0.1);
+        m.set_gauge("g2", -3.0);
+        m.set_gauge("g3", 1e21);
+        m.observe("h1", 1);
+        m.observe("h1", 2);
+        m.observe("h1", 2);
+        m.observe("h2", 1000);
+        assert_eq!(m.to_json(),
+            "{\"counters\":{\"a\\\"b\\\\c\\nd\\u0002\":7,\"z\":0},\
+            \"gauges\":{\"g1\":0.1,\"g2\":-3,\"g3\":1000000000000000000000},\
+            \"histograms\":{\"h1\":{\"count\":3,\"sum\":5,\"max\":2,\"mean\":1.667,\"p50\":3,\"p95\":3,\"p99\":3},\
+            \"h2\":{\"count\":1,\"sum\":1000,\"max\":1000,\"mean\":1000.000,\"p50\":1023,\"p95\":1023,\"p99\":1023}}}"
+        );
+    }
+
+    #[test]
+    fn json_renders_non_finite_gauges_as_null() {
+        let mut m = MetricsRegistry::new();
+        m.set_gauge("nan", f64::NAN);
+        m.set_gauge("neg_inf", f64::NEG_INFINITY);
+        m.set_gauge("pos_inf", f64::INFINITY);
+        assert_eq!(
+            m.to_json(),
+            "{\"counters\":{},\"gauges\":{\"nan\":null,\"neg_inf\":null,\"pos_inf\":null},\
+             \"histograms\":{}}"
+        );
+        // The Prometheus exposition keeps its own spelling.
+        assert!(m.to_prometheus_text().contains("nan NaN\n"));
     }
 }

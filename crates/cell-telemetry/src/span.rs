@@ -27,7 +27,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use cell_trace::{escape_json, EventKind, TraceEvent, TraceReport, Track};
+use cell_trace::json::JsonWriter;
+use cell_trace::{EventKind, TraceEvent, TraceReport, Track};
 
 /// One node of a request's span tree.
 #[derive(Debug, Clone)]
@@ -191,45 +192,39 @@ impl SpanForest {
     /// id as tid, so Perfetto shows "request N" rows beside the
     /// PPE/SPE/EIB rows.
     pub fn to_chrome_json(&self, machine: &TraceReport) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        machine.append_chrome_events(&mut out, &mut first);
+        let mut w = JsonWriter::default();
+        w.begin_object().key("displayTimeUnit").str("ms");
+        w.key("traceEvents").begin_array();
+        machine.append_chrome_events(&mut w);
         for tree in &self.trees {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":2,\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"request {}\"}}}}",
-                tree.span, tree.span
-            );
-            append_node_events(&mut out, &tree.root, tree.span);
+            w.begin_object();
+            w.key("ph").str("M").key("pid").u64(2);
+            w.key("tid").u64(tree.span);
+            w.key("name").str("thread_name").key("args").begin_object();
+            w.key("name").str(&format!("request {}", tree.span));
+            w.end_object().end_object();
+            append_node_events(&mut w, &tree.root, tree.span);
         }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
+        w.finish()
     }
 }
 
-fn append_node_events(out: &mut String, node: &SpanNode, tid: u64) {
+fn append_node_events(w: &mut JsonWriter, node: &SpanNode, tid: u64) {
     let scale = if node.hz > 0.0 { 1e6 / node.hz } else { 0.0 };
-    let ts_us = node.event.ts as f64 * scale;
-    let dur_us = node.event.dur as f64 * scale;
-    let _ = write!(
-        out,
-        ",{{\"ph\":\"X\",\"pid\":2,\"tid\":{tid},\"ts\":{ts_us:.3},\"dur\":{dur_us:.3},\
-         \"cat\":\"span\",\"name\":\""
-    );
-    escape_json(node.event.label, out);
-    let _ = write!(
-        out,
-        "\",\"args\":{{\"track\":\"{:?}\",\"arg0\":{},\"arg1\":{},\"span\":{}}}}}",
-        node.track, node.event.arg0, node.event.arg1, node.event.span
-    );
+    let e = &node.event;
+    w.begin_object();
+    w.key("ph").str("X").key("pid").u64(2).key("tid").u64(tid);
+    w.key("ts").fixed(e.ts as f64 * scale, 3);
+    w.key("dur").fixed(e.dur as f64 * scale, 3);
+    w.key("cat").str("span").key("name").str(e.label);
+    w.key("args").begin_object();
+    w.key("track").str(&format!("{:?}", node.track));
+    w.key("arg0").u64(e.arg0).key("arg1").u64(e.arg1);
+    w.key("span").u64(e.span);
+    w.end_object().end_object();
     for c in &node.children {
-        append_node_events(out, c, tid);
+        append_node_events(w, c, tid);
     }
 }
 
@@ -435,5 +430,38 @@ mod tests {
         assert!(json.contains("\"pid\":2"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert_eq!(json,
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+            {\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"PPE\"}},\
+            {\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":0.000,\"dur\":0.003,\"cat\":\"dispatch\",\"name\":\"background\",\"args\":{\"arg0\":0,\"arg1\":0,\"ea\":0,\"span\":0,\"epoch\":0}},\
+            {\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":0.000,\"dur\":0.312,\"cat\":\"request\",\"name\":\"request\",\"args\":{\"arg0\":4,\"arg1\":0,\"ea\":0,\"span\":5,\"epoch\":0}},\
+            {\"ph\":\"M\",\"pid\":2,\"tid\":5,\"name\":\"thread_name\",\"args\":{\"name\":\"request 5\"}},\
+            {\"ph\":\"X\",\"pid\":2,\"tid\":5,\"ts\":0.000,\"dur\":0.312,\"cat\":\"span\",\"name\":\"request\",\"args\":{\"track\":\"Ppe\",\"arg0\":4,\"arg1\":0,\"span\":5}}]}"
+        );
+
+        // No machine tracks and no requests: the bare envelope.
+        let empty = report(Vec::new());
+        assert_eq!(
+            build_span_forest(&empty).to_chrome_json(&empty),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}"
+        );
+        // Several nested requests across tracks, exported without the
+        // machine rows; a label needing every escape.
+        let mut ppe = Tracer::new(TraceConfig::Full, Track::Ppe, 3.2e9);
+        ppe.span_tagged(EventKind::Request, "request", 0, 3200, 1, 0, 1);
+        ppe.span_tagged(EventKind::Dispatch, "q\"b\\n\nc\u{1f}", 10, 100, 2, 3, 1);
+        ppe.span_tagged(EventKind::Request, "request", 6400, 320, 2, 0, 2);
+        let mut spe = Tracer::new(TraceConfig::Full, Track::Spe(1), 3.2e9);
+        spe.span_tagged(EventKind::Kernel, "CH", 20, 50, 0, 0, 1);
+        let forest = build_span_forest(&report(vec![ppe.finish(), spe.finish()]));
+        assert_eq!(forest.to_chrome_json(&empty),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+            {\"ph\":\"M\",\"pid\":2,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"request 1\"}},\
+            {\"ph\":\"X\",\"pid\":2,\"tid\":1,\"ts\":0.000,\"dur\":1.000,\"cat\":\"span\",\"name\":\"request\",\"args\":{\"track\":\"Ppe\",\"arg0\":1,\"arg1\":0,\"span\":1}},\
+            {\"ph\":\"X\",\"pid\":2,\"tid\":1,\"ts\":0.003,\"dur\":0.031,\"cat\":\"span\",\"name\":\"q\\\"b\\\\n\\nc\\u001f\",\"args\":{\"track\":\"Ppe\",\"arg0\":2,\"arg1\":3,\"span\":1}},\
+            {\"ph\":\"X\",\"pid\":2,\"tid\":1,\"ts\":0.006,\"dur\":0.016,\"cat\":\"span\",\"name\":\"CH\",\"args\":{\"track\":\"Spe(1)\",\"arg0\":0,\"arg1\":0,\"span\":1}},\
+            {\"ph\":\"M\",\"pid\":2,\"tid\":2,\"name\":\"thread_name\",\"args\":{\"name\":\"request 2\"}},\
+            {\"ph\":\"X\",\"pid\":2,\"tid\":2,\"ts\":2.000,\"dur\":0.100,\"cat\":\"span\",\"name\":\"request\",\"args\":{\"track\":\"Ppe\",\"arg0\":2,\"arg1\":0,\"span\":2}}]}"
+        );
     }
 }

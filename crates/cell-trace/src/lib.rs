@@ -55,6 +55,10 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
+pub mod json;
+
+use json::JsonWriter;
+
 /// Bits of the epoch word reserved for per-machine mailbox-FIFO
 /// generations; everything above them names the memory domain (one
 /// machine incarnation — e.g. one blade generation in a cluster). A
@@ -836,23 +840,6 @@ impl TrackData {
     }
 }
 
-/// Minimal JSON string escaping for labels (all labels are `'static`
-/// identifiers today, but stay safe). Public so layered exporters
-/// (`cell-telemetry`'s per-request Perfetto tracks) escape identically.
-pub fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// The merged output of one traced run: every track's events, counters
 /// and histograms.
 #[derive(Debug, Clone, Default)]
@@ -891,49 +878,38 @@ impl TraceReport {
     /// `displayTimeUnit`), loadable in Perfetto or `chrome://tracing`.
     /// Timestamps convert from per-track virtual cycles to microseconds.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.event_count() * 160);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        self.append_chrome_events(&mut out, &mut first);
-        out.push_str("]}");
-        out
+        let mut w = JsonWriter::default();
+        w.begin_object().key("displayTimeUnit").str("ms");
+        w.key("traceEvents").begin_array();
+        self.append_chrome_events(&mut w);
+        w.end_array().end_object();
+        w.finish()
     }
 
-    /// Append this report's machine tracks as Chrome trace-event objects
-    /// (thread-name metadata plus `ph:"X"` spans, comma-separated) to an
-    /// exporter-owned buffer. `first` tracks whether a leading comma is
-    /// still owed, so a layered exporter can interleave its own tracks
-    /// around the machine ones inside a single `traceEvents` array.
-    pub fn append_chrome_events(&self, out: &mut String, first: &mut bool) {
+    /// Write this report's machine tracks as Chrome trace-event objects
+    /// (thread-name metadata plus `ph:"X"` spans) into the open array of
+    /// `w`, so a layered exporter can put its own tracks beside the
+    /// machine ones inside a single `traceEvents` array.
+    pub fn append_chrome_events(&self, w: &mut JsonWriter) {
         for track in &self.tracks {
             let tid = track.track.tid();
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                track.track.name()
-            );
+            w.begin_object();
+            w.key("ph").str("M").key("pid").u64(1).key("tid").u64(tid);
+            w.key("name").str("thread_name").key("args").begin_object();
+            w.key("name").str(&track.track.name());
+            w.end_object().end_object();
             let scale = 1e6 / track.hz;
             for e in &track.events {
-                out.push(',');
-                let ts_us = e.ts as f64 * scale;
-                let dur_us = e.dur as f64 * scale;
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us:.3},\
-                     \"dur\":{dur_us:.3},\"cat\":\"{}\",\"name\":\"",
-                    e.kind.category()
-                );
-                escape_json(e.label, out);
-                let _ = write!(
-                    out,
-                    "\",\"args\":{{\"arg0\":{},\"arg1\":{},\"ea\":{},\"span\":{},\"epoch\":{}}}}}",
-                    e.arg0, e.arg1, e.ea, e.span, e.epoch
-                );
+                w.begin_object();
+                w.key("ph").str("X").key("pid").u64(1).key("tid").u64(tid);
+                w.key("ts").fixed(e.ts as f64 * scale, 3);
+                w.key("dur").fixed(e.dur as f64 * scale, 3);
+                w.key("cat").str(e.kind.category()).key("name").str(e.label);
+                w.key("args").begin_object();
+                w.key("arg0").u64(e.arg0).key("arg1").u64(e.arg1);
+                w.key("ea").u64(e.ea).key("span").u64(e.span);
+                w.key("epoch").u64(e.epoch);
+                w.end_object().end_object();
             }
         }
     }
@@ -1301,31 +1277,58 @@ mod tests {
 
     #[test]
     fn chrome_json_is_structurally_sound() {
+        // No tracks: the bare envelope.
+        assert_eq!(
+            TraceReport::default().to_chrome_json(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}"
+        );
+        // One track, one event. 3200 cycles at 3.2 GHz = 1 us.
         let mut t = Tracer::new(TraceConfig::Full, Track::Spe(0), 3.2e9);
         t.span(EventKind::DmaGet, "dma_get", 3200, 320, 4096, 5);
         let report = TraceReport {
             tracks: vec![t.finish()],
         };
-        let json = report.to_chrome_json();
-        assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains("\"ph\":\"M\""));
-        assert!(json.contains("\"name\":\"SPE0\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"cat\":\"dma\""));
-        assert!(json.contains("\"arg0\":4096"));
-        // 3200 cycles at 3.2 GHz = 1 us.
-        assert!(json.contains("\"ts\":1.000"));
-        // Balanced braces/brackets (cheap structural check).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert_eq!(report.to_chrome_json(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+            {\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"SPE0\"}},\
+            {\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":1.000,\"dur\":0.100,\"cat\":\"dma\",\"name\":\"dma_get\",\"args\":{\"arg0\":4096,\"arg1\":5,\"ea\":0,\"span\":0,\"epoch\":0}}]}"
+        );
+        // Several tracks (one of them empty) and several events, with
+        // sub-microsecond and bus-clock timestamps.
+        let mut ppe = Tracer::new(TraceConfig::Full, Track::Ppe, 3.2e9);
+        ppe.span(EventKind::Dispatch, "CH", 0, 1, 0, 0);
+        ppe.set_span_context(9);
+        ppe.set_epoch(3);
+        ppe.span_mem(EventKind::DmaPut, "dma_put", 1_600, 4_800, 16, 2, 0x100);
+        let mut eib = Tracer::new(TraceConfig::Full, Track::Eib, 1.6e9);
+        eib.span(EventKind::EibTransfer, "eib", 7, 5, 128, 1);
+        let empty = Tracer::new(TraceConfig::Full, Track::Spe(3), 3.2e9);
+        let report = TraceReport {
+            tracks: vec![ppe.finish(), empty.finish(), eib.finish()],
+        };
+        assert_eq!(report.to_chrome_json(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+            {\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"PPE\"}},\
+            {\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":0.000,\"dur\":0.000,\"cat\":\"dispatch\",\"name\":\"CH\",\"args\":{\"arg0\":0,\"arg1\":0,\"ea\":0,\"span\":0,\"epoch\":0}},\
+            {\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":0.500,\"dur\":1.500,\"cat\":\"dma\",\"name\":\"dma_put\",\"args\":{\"arg0\":16,\"arg1\":2,\"ea\":256,\"span\":9,\"epoch\":3}},\
+            {\"ph\":\"M\",\"pid\":1,\"tid\":4,\"name\":\"thread_name\",\"args\":{\"name\":\"SPE3\"}},\
+            {\"ph\":\"M\",\"pid\":1,\"tid\":99,\"name\":\"thread_name\",\"args\":{\"name\":\"EIB\"}},\
+            {\"ph\":\"X\",\"pid\":1,\"tid\":99,\"ts\":0.004,\"dur\":0.003,\"cat\":\"eib\",\"name\":\"eib\",\"args\":{\"arg0\":128,\"arg1\":1,\"ea\":0,\"span\":0,\"epoch\":0}}]}"
+        );
     }
 
     #[test]
     fn chrome_json_escapes_labels() {
-        let mut out = String::new();
-        escape_json("a\"b\\c\nd", &mut out);
-        assert_eq!(out, "a\\\"b\\\\c\\nd");
+        let mut t = Tracer::new(TraceConfig::Full, Track::Ppe, 3.2e9);
+        t.span(EventKind::Dispatch, "a\"b\\c\nd\u{1}e", 0, 0, 0, 0);
+        let report = TraceReport {
+            tracks: vec![t.finish()],
+        };
+        assert_eq!(report.to_chrome_json(),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+            {\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":\"PPE\"}},\
+            {\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":0.000,\"dur\":0.000,\"cat\":\"dispatch\",\"name\":\"a\\\"b\\\\c\\nd\\u0001e\",\"args\":{\"arg0\":0,\"arg1\":0,\"ea\":0,\"span\":0,\"epoch\":0}}]}"
+        );
     }
 
     #[test]

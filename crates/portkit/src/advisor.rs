@@ -8,6 +8,7 @@
 
 use cell_core::{CACHE_LINE, QUADWORD};
 use cell_mem::StructLayout;
+use cell_trace::json::JsonWriter;
 
 use crate::amdahl::KernelSpec;
 use crate::schedule::Schedule;
@@ -50,18 +51,14 @@ impl Advice {
         }
     }
 
-    /// Render as one JSON object, with the message escaped by
-    /// [`cell_trace::escape_json`] so reports need no serialization
-    /// dependency.
+    /// Render as one JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut msg = String::with_capacity(self.message.len());
-        cell_trace::escape_json(&self.message, &mut msg);
-        format!(
-            "{{\"severity\":\"{}\",\"rule\":\"{}\",\"message\":\"{msg}\"}}",
-            self.severity.as_str(),
-            self.rule
-        )
+        let mut w = JsonWriter::default();
+        w.begin_object().key("severity").str(self.severity.as_str());
+        w.key("rule").str(self.rule);
+        w.key("message").str(&self.message).end_object();
+        w.finish()
     }
 }
 

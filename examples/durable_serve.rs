@@ -28,6 +28,7 @@ use std::collections::BTreeSet;
 use cell_durable::{durable_commit_log, DurableConfig, DurableServer, RunStatus};
 use cell_fault::FaultPlan;
 use cell_serve::{generate, Outcome, Request, ServeConfig, WorkloadSpec};
+use cell_trace::json::JsonWriter;
 
 const REQUESTS: usize = 12;
 
@@ -181,12 +182,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // cell-top durability row renders (serve SLO metrics + durable_*
     // gauges in one exposition).
     let summary_path = format!("durable_summary_{seed}.json");
-    let summary = format!(
-        "{{\"seed\":{seed},\"torn\":{torn},\"recovery\":{},\"durable\":{}}}",
-        report.summary_json(),
-        output.report.summary_json()
-    );
-    std::fs::write(&summary_path, summary)?;
+    let mut w = JsonWriter::default();
+    w.begin_object().key("seed").u64(seed);
+    w.key("torn").bool(torn);
+    w.key("recovery").raw(&report.summary_json());
+    w.key("durable").raw(&output.report.summary_json());
+    w.end_object();
+    std::fs::write(&summary_path, w.finish())?;
     let prom_path = format!("durable_metrics_{seed}.prom");
     let mut prom = output.serve.metrics.to_prometheus_text();
     prom.push_str(&output.metrics.to_prometheus_text());

@@ -7,7 +7,8 @@
 //! and every *served* request must carry feature bytes identical to a
 //! fault-free run's.
 
-use cell_cluster::{BladeState, CellCluster, ClusterConfig, ClusterOutput};
+use cell_cluster::{BladeState, CellCluster, ClusterConfig, ClusterOutput, ClusterReport};
+use cell_core::VirtualDuration;
 use cell_fault::FaultPlan;
 use cell_serve::{generate, Outcome, Request, Response, ServeConfig, WorkloadSpec};
 use cell_telemetry::build_span_forest;
@@ -416,4 +417,23 @@ fn cluster_summary_json_is_well_formed() {
         assert!(m.gauge(&format!("blade{b}_requests_per_sec")).is_some());
         assert!(m.gauge(&format!("blade{b}_cache_hit_rate")).is_some());
     }
+
+    // Exact bytes on fixed counts; `elapsed_ms` keeps three decimals.
+    let report = ClusterReport {
+        requests: 24,
+        served: 22,
+        degraded_served: 1,
+        shed: 2,
+        cache_hits: 6,
+        cache_misses: 18,
+        cache_bypasses: 0,
+        fallback_routed: 3,
+        blade_crashes: 2,
+        blade_respawns: 2,
+        blade_breaker_trips: 1,
+        failover_replayed: 2,
+        ticks: 40,
+        elapsed: VirtualDuration::from_seconds(0.012_345_6),
+    };
+    assert_eq!(report.summary_json(), "{\"requests\":24,\"served\":22,\"degraded\":1,\"shed\":2,\"cache_hits\":6,\"cache_misses\":18,\"cache_bypasses\":0,\"fallback_routed\":3,\"blade_crashes\":2,\"blade_respawns\":2,\"blade_breaker_trips\":1,\"failover_replayed\":2,\"ticks\":40,\"elapsed_ms\":12.346}");
 }

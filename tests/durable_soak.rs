@@ -22,9 +22,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cell_core::{checksum32, CellError};
 use cell_durable::{
-    durable_commit_log, scan, DurableCluster, DurableClusterConfig, DurableClusterOutput,
-    DurableConfig, DurableOutput, DurableReport, DurableServer, Record, RecoveryReport, RunStatus,
-    SHED_DEGRADATION,
+    durable_commit_log, journal::encode_frame, scan, DurableCluster, DurableClusterConfig,
+    DurableClusterOutput, DurableConfig, DurableDisks, DurableOutput, DurableReport, DurableServer,
+    Record, RecoveryReport, RunStatus, SHED_DEGRADATION,
 };
 use cell_fault::FaultPlan;
 use cell_serve::{generate, Outcome, Request, Response, ServeConfig, WorkloadSpec};
@@ -684,4 +684,86 @@ fn whole_cluster_loss_recovers_byte_identically_with_cache_restore() {
             assert_eq!(digest, 0);
         }
     }
+}
+
+// -------------------------------------------------------------------
+// A checkpoint taken mid-replay
+// -------------------------------------------------------------------
+
+/// Recover `disks` under `plan` on a single server; return the report
+/// and the disks it leaves (crash images, or the finished images).
+fn recover_server(
+    seed: u64,
+    disks: DurableDisks,
+    plan: &FaultPlan,
+) -> (RecoveryReport, DurableDisks) {
+    let (srv, report) = DurableServer::recover(durable_config(seed), disks, plan).unwrap();
+    let disks = if srv.crashed() {
+        srv.into_disks().unwrap()
+    } else {
+        srv.finish().unwrap().disks
+    };
+    (report, disks)
+}
+
+/// [`recover_server`] for the 4-blade cluster.
+fn recover_cluster(
+    seed: u64,
+    disks: DurableDisks,
+    plan: &FaultPlan,
+) -> (RecoveryReport, DurableDisks) {
+    let (cluster, report) = DurableCluster::recover(cluster_config(seed), disks, plan).unwrap();
+    let disks = if cluster.crashed() {
+        cluster.into_disks().unwrap()
+    } else {
+        cluster.finish().unwrap().disks
+    };
+    (report, disks)
+}
+
+/// Six journaled `Admit`s and nothing else. The first recovery crashes
+/// on the marker of the first checkpoint it writes, after its 4th
+/// replay has committed; that checkpoint must still hold the replays
+/// not yet re-admitted, so a clean second recovery serves them.
+fn assert_mid_replay_checkpoint_keeps_pending(
+    recover: fn(u64, DurableDisks, &FaultPlan) -> (RecoveryReport, DurableDisks),
+) {
+    let seed = 4242;
+    let requests = workload(6, seed);
+    let ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+    let admits = DurableDisks {
+        journal: requests
+            .iter()
+            .flat_map(|r| encode_frame(&Record::admit(r), 0))
+            .collect(),
+        checkpoints: Vec::new(),
+    };
+
+    // Where a clean recovery drops its first checkpoint marker, counted
+    // in recovery's own appends.
+    let (_, clean) = recover(seed, admits.clone(), &FaultPlan::new());
+    let marker = scan(&clean.journal)
+        .records
+        .iter()
+        .position(|s| matches!(s.record, Record::Checkpoint { .. }))
+        .expect("recovery checkpoints")
+        + 1
+        - ids.len();
+
+    let plan = FaultPlan::new().crash_process(marker as u64);
+    let (first, crashed) = recover(seed, admits, &plan);
+    assert_eq!(
+        first.replayed,
+        ids[..4],
+        "crash on the 4th replay's checkpoint"
+    );
+    let (second, out) = recover(seed, crashed, &FaultPlan::new());
+    assert_eq!(second.replayed, ids[4..], "the unreplayed admits survive");
+    assert_commit_log_exactly_once(&out.journal, &ids.iter().copied().collect(), true);
+}
+
+#[test]
+fn checkpoint_taken_mid_replay_keeps_the_unreplayed_admits() {
+    assert_mid_replay_checkpoint_keeps_pending(recover_server);
+    assert_mid_replay_checkpoint_keeps_pending(recover_cluster);
 }
