@@ -34,7 +34,8 @@
 //! Each blade runs its own *virtual* clock (PPE cycles); the router runs
 //! a *logical* clock that ticks once per routed request. All routing,
 //! watchdog and breaker decisions run on the logical clock — blade cycle
-//! counts jitter with host polling and must never steer control flow.
+//! counts jitter with host thread order (the EIB grants DMA in host
+//! arrival order) and must never steer control flow.
 //! Before a blade serves request *r* the router advances the blade's
 //! virtual clock to *r*'s global arrival time, so latency and deadline
 //! semantics match single-machine serving.

@@ -10,25 +10,29 @@
 //! needs no request ids, and the same FIFO edges order the trace for
 //! the happens-before race detector.
 //!
-//! Two dispatch disciplines share the loop (see
-//! [`FailoverMode`]):
+//! Both failover modes (see [`FailoverMode`]) send through one pump:
+//! every word goes out with a blocking [`Ppe::write_in_mbox`], as in
+//! Listing 3, and virtual time never advances while a write waits for
+//! mailbox space. The modes differ only in how a lane waits for its reply
+//! and in what a dead or silent SPE does:
 //!
-//! * **Fail** — blocking mailbox reads/writes: virtual time is a pure
-//!   function of the schedule, so runs are cycle-deterministic (the
-//!   baseline ports and the benchmarks).
-//! * **Replan** — non-blocking sends ([`cell_sys::ppe::Ppe::try_write_in_mbox`])
-//!   and deadline-bounded waits ([`portkit::recovery::await_reply`]):
-//!   a dead or hung SPE surfaces as a retry, then a failover that
-//!   re-plans the schedule and re-routes the lane (the resilient and
-//!   serving ports; kernels must be idempotent). A wait times out only
-//!   once the SPE sits idle on its inbound mailbox, so a slow host
-//!   thread is never mistaken for a silent SPE.
+//! * **Fail** — the wait blocks in [`Ppe::read_out_mbox`] and errors
+//!   propagate (the baseline ports and the benchmarks).
+//! * **Replan** — the wait is [`portkit::recovery::await_reply`]: a dead
+//!   or hung SPE surfaces as a retry, then a failover that re-plans the
+//!   schedule and re-routes the lane (the resilient and serving ports;
+//!   kernels must be idempotent). A wait times out only once the SPE
+//!   sits idle on its inbound mailbox, so a slow host thread is never
+//!   mistaken for a silent SPE.
+//!
+//! Both waits set the PPE clock from the reply's stamp, so a fault-free
+//! lane ends on the same cycle in either mode, however the host schedules
+//! the SPE threads.
 //!
 //! Retry-in-place is only attempted when the timed-out lane has a
-//! *single* outstanding request and its words were fully delivered: a
-//! deeper lane cannot distinguish a late reply to request *n* from the
-//! reply to request *n+1* on an id-less FIFO channel, so it fails over
-//! wholesale instead of guessing.
+//! *single* request in flight: a deeper lane cannot distinguish a late
+//! reply to request *n* from the reply to request *n+1* on an id-less
+//! FIFO channel, so it fails over wholesale instead of guessing.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -52,11 +56,9 @@ struct Request {
     label: &'static str,
     /// The exact mailbox words: `[op, arg]`, or the `SPU_BATCH` framing.
     words: Vec<u32>,
-    /// Words already written to the inbound mailbox (non-blocking sends
-    /// resume here when the mailbox was full).
-    written: usize,
-    /// PPE clock at the first word's write; drives the dispatch span.
-    t0: Option<u64>,
+    /// PPE clock when the pump started sending the words; drives the
+    /// dispatch span.
+    t0: u64,
     /// Schedule slot for failover re-routing; `None` pins the request
     /// to its SPE (it dies with the lane).
     slot: Option<KernelId>,
@@ -412,8 +414,7 @@ impl Engine {
             ticket,
             label,
             words,
-            written: 0,
-            t0: None,
+            t0: 0,
             slot,
             attempts: 0,
             batch,
@@ -425,56 +426,13 @@ impl Engine {
 
     // ---- send pump -------------------------------------------------------
 
-    /// Push queued sends on every lane as far as windows and mailbox
-    /// space allow, without blocking on replies.
-    pub fn pump(&mut self, ppe: &mut Ppe) -> CellResult<()> {
-        for spe in 0..self.lanes.len() {
-            self.pump_lane(ppe, spe, &mut NoopObserver)?;
-        }
-        Ok(())
-    }
-
+    /// Send the lane's queued requests until its window is full: the one
+    /// send path of both modes. Words go out with blocking
+    /// [`Ppe::write_in_mbox`] writes, so virtual time never advances while
+    /// a write waits for mailbox space. A mailbox that closes mid-send
+    /// puts the request back at the head of the queue and fails the lane
+    /// over ([`CellError::SpeFault`] in [`FailoverMode::Fail`]).
     fn pump_lane(
-        &mut self,
-        ppe: &mut Ppe,
-        spe: usize,
-        obs: &mut dyn EngineObserver,
-    ) -> CellResult<()> {
-        match self.mode {
-            FailoverMode::Fail => self.pump_lane_blocking(ppe, spe),
-            FailoverMode::Replan => self.pump_lane_nonblocking(ppe, spe, obs),
-        }
-    }
-
-    /// Fail-mode sends: blocking mailbox writes. Virtual time never
-    /// advances while a write waits for mailbox space, so the timeline
-    /// stays a pure function of the schedule (cycle-determinism for the
-    /// baseline ports and the benchmarks).
-    fn pump_lane_blocking(&mut self, ppe: &mut Ppe, spe: usize) -> CellResult<()> {
-        while self.lanes[spe].inflight.len() < self.window && !self.lanes[spe].sendq.is_empty() {
-            let mut req = self.lanes[spe].sendq.pop_front().expect("checked nonempty");
-            req.t0 = Some(ppe.clock.now());
-            // Save/restore the caller's ambient span rather than
-            // clearing: the serving layer keeps its own request span set
-            // across a whole dispatch sequence.
-            let prev = ppe.tracer().current_span();
-            ppe.tracer_mut().set_span_context(req.span);
-            for &w in &req.words {
-                ppe.write_in_mbox(spe, w)?;
-            }
-            ppe.tracer_mut().set_span_context(prev);
-            req.written = req.words.len();
-            self.lanes[spe].inflight.push_back(req);
-            let depth = self.lanes[spe].inflight.len() as u64;
-            ppe.tracer_mut().count_max(Counter::InFlight, depth);
-        }
-        Ok(())
-    }
-
-    /// Replan-mode sends: non-blocking writes that park the request and
-    /// resume later when the mailbox was full — the PPE never blocks on
-    /// a lane whose SPE may be dead or hung.
-    fn pump_lane_nonblocking(
         &mut self,
         ppe: &mut Ppe,
         spe: usize,
@@ -484,46 +442,43 @@ impl Engine {
             if !self.alive[spe] {
                 return self.fail_over_lane(ppe, spe, obs);
             }
-            if self.lanes[spe].inflight.len() >= self.window || self.lanes[spe].sendq.is_empty() {
+            if self.lanes[spe].inflight.len() >= self.window {
                 return Ok(());
             }
+            let Some(mut req) = self.lanes[spe].sendq.pop_front() else {
+                return Ok(());
+            };
             // Fresh request on an idle lane: toss stale replies first,
             // so a reply a timed-out earlier request left queued cannot
-            // be mistaken for this one's. With requests in flight the
-            // outbound words belong to them — do NOT drain.
-            if self.lanes[spe].inflight.is_empty()
-                && self.lanes[spe].sendq.front().map(|r| r.written) == Some(0)
-            {
+            // be mistaken for this one's (Fail mode never leaves one).
+            // With requests in flight the outbound words belong to them —
+            // do NOT drain.
+            if self.lanes[spe].inflight.is_empty() {
                 self.drain_stale(ppe, spe)?;
             }
-            let req = self.lanes[spe].sendq.front_mut().expect("checked nonempty");
-            if req.written == 0 {
-                req.t0 = Some(ppe.clock.now());
-            }
+            req.t0 = ppe.clock.now();
+            // Save/restore the caller's ambient span rather than
+            // clearing: the serving layer keeps its own request span set
+            // across a whole dispatch sequence.
             let prev = ppe.tracer().current_span();
             ppe.tracer_mut().set_span_context(req.span);
-            while req.written < req.words.len() {
-                match ppe.try_write_in_mbox(spe, req.words[req.written]) {
-                    Ok(()) => req.written += 1,
-                    Err(CellError::MailboxFull) => {
-                        ppe.tracer_mut().set_span_context(prev);
-                        return Ok(());
-                    }
-                    Err(CellError::MailboxClosed) => {
-                        ppe.tracer_mut().set_span_context(prev);
-                        return self.fail_over_lane(ppe, spe, obs);
-                    }
-                    Err(e) => {
-                        ppe.tracer_mut().set_span_context(prev);
-                        return Err(e);
-                    }
-                }
-            }
+            let sent = req
+                .words
+                .iter()
+                .try_for_each(|&w| ppe.write_in_mbox(spe, w));
             ppe.tracer_mut().set_span_context(prev);
-            let req = self.lanes[spe].sendq.pop_front().expect("checked nonempty");
-            self.lanes[spe].inflight.push_back(req);
-            let depth = self.lanes[spe].inflight.len() as u64;
-            ppe.tracer_mut().count_max(Counter::InFlight, depth);
+            match sent {
+                Ok(()) => {
+                    self.lanes[spe].inflight.push_back(req);
+                    let depth = self.lanes[spe].inflight.len() as u64;
+                    ppe.tracer_mut().count_max(Counter::InFlight, depth);
+                }
+                Err(CellError::MailboxClosed) => {
+                    self.lanes[spe].sendq.push_front(req);
+                    return self.fail_over_lane(ppe, spe, obs);
+                }
+                Err(e) => return Err(e),
+            }
         }
     }
 
@@ -558,14 +513,7 @@ impl Engine {
                 .ok_or_else(|| CellError::BadKernelSpec {
                     message: format!("unknown or already-completed ticket {ticket}"),
                 })?;
-            match self.mode {
-                FailoverMode::Fail => {
-                    self.pump_lane_blocking(ppe, spe)?;
-                    let v = ppe.read_out_mbox(spe)?;
-                    self.finish_front(ppe, spe, v, obs);
-                }
-                FailoverMode::Replan => self.step_lane(ppe, spe, obs)?,
-            }
+            self.step_lane(ppe, spe, obs)?;
         }
     }
 
@@ -581,14 +529,13 @@ impl Engine {
             return;
         };
         let now = ppe.clock.now();
-        let t0 = req.t0.unwrap_or(now);
         // Explicit span: under a pipelined window the completing request
         // is generally not the one the ambient context (if any) names.
         ppe.tracer_mut().span_tagged(
             EventKind::Dispatch,
             req.label,
-            t0,
-            now.saturating_sub(t0),
+            req.t0,
+            now.saturating_sub(req.t0),
             spe as u64,
             0,
             req.span,
@@ -602,41 +549,42 @@ impl Engine {
         obs.on_success(spe, req.label, now);
     }
 
-    /// One bounded wait on a Replan-mode lane: completes the front
-    /// request, retries it in place, or fails the lane over. Always
-    /// makes progress; the caller loops until its ticket resolves.
+    /// One wait on a lane: completes the front request, retries it in
+    /// place, or fails the lane over. Always makes progress; the caller
+    /// loops until its ticket resolves.
     fn step_lane(
         &mut self,
         ppe: &mut Ppe,
         spe: usize,
         obs: &mut dyn EngineObserver,
     ) -> CellResult<()> {
-        self.pump_lane_nonblocking(ppe, spe, obs)?;
+        self.pump_lane(ppe, spe, obs)?;
         if self.lanes[spe].inflight.is_empty() {
-            // Failover re-routed the lane (the outer loop re-resolves the
-            // ticket's new lane), or sends are still parked behind a full
-            // mailbox of a request that has not yet been delivered.
-            std::thread::yield_now();
+            // Failover re-routed the lane; the caller re-resolves the
+            // ticket's new lane.
             return Ok(());
         }
-        loop {
-            match await_reply(ppe, spe, &self.policy)? {
-                Awaited::Reply(v) => {
-                    self.finish_front(ppe, spe, v, obs);
-                    return Ok(());
-                }
-                Awaited::Dead => return self.fail_over_lane(ppe, spe, obs),
-                Awaited::TimedOut => {
-                    // Retry in place only when the resend is unambiguous:
-                    // a single fully-delivered request.
-                    let front = self.lanes[spe].inflight.front().expect("nonempty");
-                    let retryable = self.lanes[spe].inflight.len() == 1
-                        && front.written == front.words.len()
-                        && front.attempts + 1 < self.policy.max_attempts.max(1);
-                    if !retryable {
-                        return self.fail_over_lane(ppe, spe, obs);
-                    }
-                    self.retry_front(ppe, spe)?;
+        let awaited = match self.mode {
+            // Listing 3: block in `spe_read_out_mbox`; errors propagate.
+            FailoverMode::Fail => Awaited::Reply(ppe.read_out_mbox(spe)?),
+            FailoverMode::Replan => await_reply(ppe, spe, &self.policy)?,
+        };
+        match awaited {
+            Awaited::Reply(v) => {
+                self.finish_front(ppe, spe, v, obs);
+                Ok(())
+            }
+            Awaited::Dead => self.fail_over_lane(ppe, spe, obs),
+            Awaited::TimedOut => {
+                // Retry in place only when the resend is unambiguous:
+                // a single request in flight.
+                let front = self.lanes[spe].inflight.front().expect("nonempty");
+                if self.lanes[spe].inflight.len() == 1
+                    && front.attempts + 1 < self.policy.max_attempts.max(1)
+                {
+                    self.retry_front(ppe, spe, obs)
+                } else {
+                    self.fail_over_lane(ppe, spe, obs)
                 }
             }
         }
@@ -644,54 +592,38 @@ impl Engine {
 
     /// Re-send the lane's (single) timed-out front request to the same
     /// SPE under the retry budget, with backoff and trace.
-    fn retry_front(&mut self, ppe: &mut Ppe, spe: usize) -> CellResult<()> {
+    fn retry_front(
+        &mut self,
+        ppe: &mut Ppe,
+        spe: usize,
+        obs: &mut dyn EngineObserver,
+    ) -> CellResult<()> {
         let now = ppe.clock.now();
-        let (label, attempt, span) = {
-            let front = self.lanes[spe].inflight.front_mut().expect("nonempty");
-            front.attempts += 1;
-            front.written = 0;
-            front.t0 = None;
-            (front.label, front.attempts, front.span)
-        };
-        let backoff = self.policy.backoff(attempt);
+        let mut req = self.lanes[spe].inflight.pop_front().expect("nonempty");
+        req.attempts += 1;
+        let backoff = self.policy.backoff(req.attempts);
         ppe.tracer_mut().span_tagged(
             EventKind::Recovery,
             "retry",
             now,
             backoff,
             spe as u64,
-            u64::from(attempt),
-            span,
+            u64::from(req.attempts),
+            req.span,
         );
         ppe.tracer_mut().count(Counter::Retries, 1);
         ppe.charge_cycles(backoff);
         self.recovery.push(RecoveryEvent {
             at: now,
             spe,
-            kernel: label,
+            kernel: req.label,
             kind: RecoveryKind::Retry,
         });
-        // Re-deliver the words. Nothing stale can be queued: the wait
-        // timed out only after a last empty poll of an idle SPE.
-        let front = self.lanes[spe].inflight.front_mut().expect("nonempty");
-        front.t0 = Some(ppe.clock.now());
-        let prev = ppe.tracer().current_span();
-        ppe.tracer_mut().set_span_context(front.span);
-        while front.written < front.words.len() {
-            match ppe.try_write_in_mbox(spe, front.words[front.written]) {
-                Ok(()) => front.written += 1,
-                // Leave the rest parked; the wait loop's next timeout
-                // sees a partial delivery and fails over.
-                Err(CellError::MailboxFull) => break,
-                Err(CellError::MailboxClosed) => break,
-                Err(e) => {
-                    ppe.tracer_mut().set_span_context(prev);
-                    return Err(e);
-                }
-            }
-        }
-        ppe.tracer_mut().set_span_context(prev);
-        Ok(())
+        // Re-deliver the words through the send pump. Its drain finds
+        // nothing: the wait timed out only after a last empty poll of an
+        // idle SPE.
+        self.lanes[spe].sendq.push_front(req);
+        self.pump_lane(ppe, spe, obs)
     }
 
     // ---- failover --------------------------------------------------------
@@ -743,8 +675,6 @@ impl Engine {
         orphans.extend(lane.sendq.drain(..));
         let mut touched: Vec<usize> = Vec::new();
         for mut req in orphans {
-            req.written = 0;
-            req.t0 = None;
             req.attempts = 0;
             match req.slot {
                 Some(slot) => {
@@ -762,7 +692,7 @@ impl Engine {
             }
         }
         for new_spe in touched {
-            self.pump_lane_nonblocking(ppe, new_spe, obs)?;
+            self.pump_lane(ppe, new_spe, obs)?;
         }
         Ok(())
     }

@@ -21,7 +21,7 @@ use cell_core::{
 use cell_mem::MainMemory;
 use cell_trace::{Counter, EventKind, TraceConfig, Tracer, Track, TrackData};
 
-use crate::mailbox::MailboxPair;
+use crate::mailbox::{MailboxPair, Stamped};
 use crate::signal::SignalRegister;
 use crate::spe::MAILBOX_LATENCY;
 
@@ -153,49 +153,6 @@ impl Ppe {
         self.mailboxes[spe].inbound.write(value, self.clock.now())
     }
 
-    /// Non-blocking write into an SPE's inbound mailbox:
-    /// [`CellError::MailboxFull`] when all four entries are occupied,
-    /// instead of stalling the PPE. This is the poll path a pipelined
-    /// dispatch engine uses to keep requests queued ahead of the SPE
-    /// without ever blocking the coordinating core.
-    pub fn try_write_in_mbox(&mut self, spe: usize, value: u32) -> CellResult<()> {
-        self.check_spe(spe)?;
-        // Reject before charging, so probing a full mailbox costs nothing
-        // on the virtual timeline. The PPE is the inbound side's only
-        // writer, so a free slot seen here cannot vanish before the write
-        // below — the SPE only drains the queue.
-        if self.mailboxes[spe].inbound.count() >= self.in_mbox_capacity() {
-            return Err(CellError::MailboxFull);
-        }
-        self.clock.advance(Cycles(50));
-        self.profile.mailbox_ops += 1;
-        self.tracer.span_epoch(
-            EventKind::MailboxSend,
-            "mbox_send",
-            self.clock.now(),
-            0,
-            value as u64,
-            spe as u64,
-            self.mailboxes[spe].inbound.generation(),
-        );
-        self.tracer.count(Counter::MailboxSends, 1);
-        self.mailboxes[spe].inbound.write(value, self.clock.now())
-    }
-
-    /// Words currently queued in the SPE's inbound mailbox (free slots =
-    /// `in_mbox_capacity() - stat_in_mbox()`). The hardware exposes this
-    /// as the channel count of `SPU_WrInMbox`.
-    pub fn stat_in_mbox(&self, spe: usize) -> CellResult<usize> {
-        self.check_spe(spe)?;
-        Ok(self.mailboxes[spe].inbound.count())
-    }
-
-    /// Inbound mailbox depth (4 on real Cell): bounds how many words a
-    /// dispatch engine may queue ahead of a busy SPE.
-    pub fn in_mbox_capacity(&self) -> usize {
-        4
-    }
-
     /// `spe_stat_out_mbox`: words waiting in the SPE's outbound mailbox.
     pub fn stat_out_mbox(&self, spe: usize) -> CellResult<usize> {
         self.check_spe(spe)?;
@@ -213,9 +170,9 @@ impl Ppe {
     }
 
     /// Is the SPE idle — its program parked on an empty inbound mailbox?
-    /// An idle SPE cannot reply without new input, so a reply wait past
-    /// its deadline may give up on it; a busy one (however slow its host
-    /// thread) is still computing a reply and is waited for.
+    /// An idle SPE cannot reply without new input, so a reply wait may
+    /// give up on it; a busy one (however slow its host thread) is still
+    /// computing a reply and is waited for.
     pub fn spe_idle(&self, spe: usize) -> CellResult<bool> {
         self.check_spe(spe)?;
         Ok(self.mailboxes[spe].inbound.reader_parked())
@@ -227,49 +184,15 @@ impl Ppe {
     /// of Fig. 4(b).
     pub fn read_out_mbox(&mut self, spe: usize) -> CellResult<u32> {
         self.check_spe(spe)?;
-        let t0 = self.clock.now();
         let s = self.mailboxes[spe].outbound.read()?;
-        self.clock.advance_to(s.stamp + MAILBOX_LATENCY);
-        let blocked = self.clock.now() - t0;
-        self.clock.advance(Cycles(50));
-        self.profile.mailbox_ops += 1;
-        self.tracer.span_epoch(
-            EventKind::MailboxRecv,
-            "mbox_recv",
-            t0,
-            blocked,
-            s.value as u64,
-            spe as u64,
-            self.mailboxes[spe].inbound.generation(),
-        );
-        self.tracer.count(Counter::MailboxRecvs, 1);
-        self.tracer.count(Counter::MailboxStallCycles, blocked);
-        self.tracer.record_mailbox_stall(blocked);
-        Ok(s.value)
+        Ok(self.received(spe, s, 50))
     }
 
     /// Non-blocking read from the outbound mailbox.
     pub fn try_read_out_mbox(&mut self, spe: usize) -> CellResult<u32> {
         self.check_spe(spe)?;
-        let t0 = self.clock.now();
         let s = self.mailboxes[spe].outbound.try_read()?;
-        self.clock.advance_to(s.stamp + MAILBOX_LATENCY);
-        let blocked = self.clock.now() - t0;
-        self.clock.advance(Cycles(50));
-        self.profile.mailbox_ops += 1;
-        self.tracer.span_epoch(
-            EventKind::MailboxRecv,
-            "mbox_recv",
-            t0,
-            blocked,
-            s.value as u64,
-            spe as u64,
-            self.mailboxes[spe].inbound.generation(),
-        );
-        self.tracer.count(Counter::MailboxRecvs, 1);
-        self.tracer.count(Counter::MailboxStallCycles, blocked);
-        self.tracer.record_mailbox_stall(blocked);
-        Ok(s.value)
+        Ok(self.received(spe, s, 50))
     }
 
     /// Blocking read from the interrupting outbound mailbox. Interrupt
@@ -277,11 +200,18 @@ impl Ppe {
     /// spinning — the trade paper §3.5 step 6 describes.
     pub fn read_out_intr_mbox(&mut self, spe: usize) -> CellResult<u32> {
         self.check_spe(spe)?;
-        let t0 = self.clock.now();
         let s = self.mailboxes[spe].outbound_intr.read()?;
+        Ok(self.received(spe, s, 600)) // interrupt entry/exit
+    }
+
+    /// Account one word taken off an outbound mailbox: stall the PPE
+    /// clock until the word's stamp plus crossing latency, then charge
+    /// `exit_cycles` for the read itself.
+    fn received(&mut self, spe: usize, s: Stamped, exit_cycles: u64) -> u32 {
+        let t0 = self.clock.now();
         self.clock.advance_to(s.stamp + MAILBOX_LATENCY);
         let blocked = self.clock.now() - t0;
-        self.clock.advance(Cycles(600)); // interrupt entry/exit
+        self.clock.advance(Cycles(exit_cycles));
         self.profile.mailbox_ops += 1;
         self.tracer.span_epoch(
             EventKind::MailboxRecv,
@@ -295,7 +225,7 @@ impl Ppe {
         self.tracer.count(Counter::MailboxRecvs, 1);
         self.tracer.count(Counter::MailboxStallCycles, blocked);
         self.tracer.record_mailbox_stall(blocked);
-        Ok(s.value)
+        s.value
     }
 
     // ---- signals ---------------------------------------------------------

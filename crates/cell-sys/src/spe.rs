@@ -25,7 +25,7 @@ use cell_mfc::Mfc;
 use cell_spu::{Spu, SpuCounters};
 use cell_trace::{Counter, EventKind, TraceConfig, Tracer, Track};
 
-use crate::mailbox::MailboxPair;
+use crate::mailbox::{Mailbox, MailboxPair};
 use crate::signal::SignalRegister;
 
 /// Extra virtual latency (core cycles) for a mailbox word to cross between
@@ -289,29 +289,6 @@ impl SpeEnv {
         Ok(s.value)
     }
 
-    /// Non-blocking read from the inbound mailbox.
-    pub fn try_read_in_mbox(&mut self) -> CellResult<u32> {
-        self.charge_compute();
-        let t0 = self.clock.now();
-        let s = self.mailboxes.inbound.try_read()?;
-        self.clock.advance_to(s.stamp + MAILBOX_LATENCY);
-        let blocked = self.clock.now() - t0;
-        self.clock.advance(Cycles(10));
-        self.mailbox_ops += 1;
-        self.tracer.span(
-            EventKind::MailboxRecv,
-            "mbox_recv",
-            t0,
-            blocked,
-            s.value as u64,
-            0,
-        );
-        self.tracer.count(Counter::MailboxRecvs, 1);
-        self.tracer.count(Counter::MailboxStallCycles, blocked);
-        self.tracer.record_mailbox_stall(blocked);
-        Ok(s.value)
-    }
-
     /// Apply a scheduled reply fault, if one is due for this outbound
     /// write. Returns `true` when the word must be dropped.
     #[cold]
@@ -353,30 +330,19 @@ impl SpeEnv {
     /// Reply-site injection point: the Nth outbound write on an SPE is
     /// where `FaultPlan::drop_reply` / `stall_reply` faults fire.
     pub fn write_out_mbox(&mut self, value: u32) -> CellResult<()> {
-        self.charge_compute();
-        if let Some(kind) = self.reply_faults.tick() {
-            if self.inject_reply_fault(kind, value) {
-                return Ok(());
-            }
-        }
-        self.clock.advance(Cycles(10));
-        self.mailbox_ops += 1;
-        self.tracer.span(
-            EventKind::MailboxSend,
-            "mbox_send",
-            self.clock.now(),
-            0,
-            value as u64,
-            0,
-        );
-        self.tracer.count(Counter::MailboxSends, 1);
-        self.mailboxes.outbound.write(value, self.clock.now())
+        self.write_out(value, |m| &m.outbound)
     }
 
     /// Blocking write to the interrupting outbound mailbox
     /// (`spu_write_out_intr_mbox`). Shares the reply fault line with
     /// [`write_out_mbox`](Self::write_out_mbox).
     pub fn write_out_intr_mbox(&mut self, value: u32) -> CellResult<()> {
+        self.write_out(value, |m| &m.outbound_intr)
+    }
+
+    /// One reply word onto the outbound mailbox `mailbox` picks: fold
+    /// compute, fire a due reply fault, charge the channel write, stamp.
+    fn write_out(&mut self, value: u32, mailbox: fn(&MailboxPair) -> &Mailbox) -> CellResult<()> {
         self.charge_compute();
         if let Some(kind) = self.reply_faults.tick() {
             if self.inject_reply_fault(kind, value) {
@@ -394,12 +360,7 @@ impl SpeEnv {
             0,
         );
         self.tracer.count(Counter::MailboxSends, 1);
-        self.mailboxes.outbound_intr.write(value, self.clock.now())
-    }
-
-    /// Words waiting in the inbound mailbox.
-    pub fn in_mbox_count(&self) -> usize {
-        self.mailboxes.inbound.count()
+        mailbox(&self.mailboxes).write(value, self.clock.now())
     }
 
     // ---- signals --------------------------------------------------------

@@ -4,24 +4,28 @@
 //! The paper's protocol assumes the SPE side never dies; chaos testing
 //! (the `cell-fault` crate) breaks that assumption on purpose. This module
 //! gives every PPE-side wait — the stub's `Wait(timeout)` here and the
-//! `cell-engine` lanes and probes — one loop, [`await_reply`]:
+//! `cell-engine` lanes and probes — one loop, [`await_reply`]. The loop
+//! spins on the host until one of three things is true, and each sets
+//! the PPE clock from virtual time alone, never from how many host polls
+//! it took:
 //!
-//! * a *virtual-time* deadline: each empty poll of the outbound mailbox
-//!   charges `poll_cost` PPE cycles until `timeout_cycles` have been
-//!   burned;
-//! * the **idle rule**: past the deadline the wait gives up only once the
-//!   SPE is idle — its program parked on an empty inbound mailbox
-//!   ([`cell_sys::ppe::Ppe::spe_idle`]), so it cannot reply without new
-//!   input. A dropped reply, a swallowed opcode or a hung SPE all end
-//!   parked and surface as [`Awaited::TimedOut`]; a kernel whose host
-//!   thread merely runs slowly is waited for. This assumes every SPE
-//!   program blocks only on its inbound mailbox;
-//! * dead-SPE detection: a program closes its mailboxes on the way out,
+//! * **a reply**: the clock moves exactly as
+//!   [`cell_sys::ppe::Ppe::read_out_mbox`] moves it in Listing 3 — to
+//!   the reply's stamp plus crossing latency, then the read itself;
+//! * **a dead SPE**: a program closes its mailboxes on the way out,
 //!   however it stops (a fault, a panic, a return without a reply), and
-//!   [`cell_sys::ppe::Ppe::spe_alive`] sees that immediately
-//!   ([`Awaited::Dead`]), so the caller can fail over (see
-//!   [`crate::schedule::Schedule::replan`]) without waiting out the
-//!   deadline.
+//!   [`cell_sys::ppe::Ppe::spe_alive`] sees that at once
+//!   ([`Awaited::Dead`]). Detection costs nothing, so the caller can fail
+//!   over (see [`crate::schedule::Schedule::replan`]) without waiting out
+//!   the deadline;
+//! * **an idle SPE**: its program is parked on an empty inbound mailbox
+//!   ([`cell_sys::ppe::Ppe::spe_idle`]) with no reply queued, so it cannot
+//!   reply without new input. A dropped reply, a swallowed opcode or a
+//!   hung SPE all end parked and surface as [`Awaited::TimedOut`], charged
+//!   the deadline rounded up to whole `poll_cost` polls of the
+//!   `spe_stat_out_mbox` spin. A kernel whose host thread merely runs
+//!   slowly is waited for. This assumes every SPE program blocks only on
+//!   its inbound mailbox.
 //!
 //! Retrying a timed-out dispatch is the caller's business: `cell-engine`
 //! holds the one retry/backoff ladder, driven by [`RetryPolicy`].
@@ -48,8 +52,9 @@ pub struct RetryPolicy {
     pub max_backoff: u64,
     /// Virtual-time reply deadline per attempt.
     pub timeout_cycles: u64,
-    /// PPE cycles charged per empty poll of the outbound mailbox (models
-    /// the `spe_stat_out_mbox` spin of Listing 3).
+    /// PPE cycles per poll of the `spe_stat_out_mbox` spin of Listing 3.
+    /// Only a timeout is priced in polls: it costs `timeout_cycles`
+    /// rounded up to whole polls. A reply is timed by its stamp.
     pub poll_cost: u64,
 }
 
@@ -97,7 +102,8 @@ pub enum Awaited {
     Reply(u32),
     /// The SPE's mailboxes closed with no reply queued.
     Dead,
-    /// The deadline passed and the SPE sat idle with no reply queued.
+    /// The SPE sat idle with no reply queued; the wait was charged the
+    /// deadline.
     TimedOut,
 }
 
@@ -125,10 +131,9 @@ pub fn dead_spe(spe: usize) -> CellError {
 }
 
 /// Wait for the next word on `spe`'s outbound mailbox under `policy`'s
-/// virtual deadline and the idle rule (see the module docs). Every
+/// deadline and the idle rule (see the module docs). Every
 /// reply-with-deadline wait in the workspace goes through here.
 pub fn await_reply(ppe: &mut Ppe, spe: usize, policy: &RetryPolicy) -> CellResult<Awaited> {
-    let deadline = ppe.clock.now() + policy.timeout_cycles;
     loop {
         if let Some(v) = poll_reply(ppe, spe)? {
             return Ok(Awaited::Reply(v));
@@ -138,12 +143,16 @@ pub fn await_reply(ppe: &mut Ppe, spe: usize, policy: &RetryPolicy) -> CellResul
             // closed its mailboxes (queued words stay readable).
             return Ok(poll_reply(ppe, spe)?.map_or(Awaited::Dead, Awaited::Reply));
         }
-        if ppe.clock.now() < deadline {
-            ppe.charge_cycles(policy.poll_cost);
-        } else if ppe.spe_idle(spe)? {
+        if ppe.spe_idle(spe)? {
             // One last poll closes the race with an SPE that replied
             // between the poll above and parking on its next read.
-            return Ok(poll_reply(ppe, spe)?.map_or(Awaited::TimedOut, Awaited::Reply));
+            if let Some(v) = poll_reply(ppe, spe)? {
+                return Ok(Awaited::Reply(v));
+            }
+            // The deadline, rounded up to whole polls.
+            let poll = policy.poll_cost.max(1);
+            ppe.charge_cycles(policy.timeout_cycles.div_ceil(poll).saturating_mul(poll));
+            return Ok(Awaited::TimedOut);
         }
         std::thread::yield_now();
     }
