@@ -501,21 +501,18 @@ impl Interpreter {
                     self.regs[rt as usize] = V128::from_bytes(out);
                 }
                 Op::Shufb => {
-                    let a = self.regs[ra as usize].to_bytes();
-                    let b = self.regs[rb as usize].to_bytes();
-                    let c = self.regs[rc as usize].to_bytes();
-                    let mut out = [0u8; 16];
-                    for i in 0..16 {
-                        let idx = (c[i] & 0x1F) as usize;
-                        out[i] = if idx < 16 { a[idx] } else { b[idx - 16] };
-                    }
-                    self.regs[rt as usize] = V128::from_bytes(out);
+                    self.regs[rt as usize] = shufb(
+                        self.regs[ra as usize],
+                        self.regs[rb as usize],
+                        self.regs[rc as usize],
+                    );
                 }
                 Op::Rotqby => {
-                    let n = (self.pref(rb) & 15) as usize;
-                    self.rotate_bytes(rt, ra, n);
+                    self.regs[rt as usize] = rotate_bytes(self.regs[ra as usize], self.pref(rb));
                 }
-                Op::Rotqbyi => self.rotate_bytes(rt, ra, (imm as usize) & 15),
+                Op::Rotqbyi => {
+                    self.regs[rt as usize] = rotate_bytes(self.regs[ra as usize], imm as u32);
+                }
                 Op::Cwx => {
                     let addr = self.pref(ra).wrapping_add(self.pref(rb));
                     self.regs[rt as usize] = word_insert_pattern(addr);
@@ -619,17 +616,6 @@ impl Interpreter {
         ]);
     }
 
-    /// Rotate quadword bytes left by `n`: result byte `k` is source byte
-    /// `(k + n) & 15`, so the byte at LS offset `n` lands in byte 0.
-    fn rotate_bytes(&mut self, rt: u8, ra: u8, n: usize) {
-        let src = self.regs[ra as usize].to_bytes();
-        let mut out = [0u8; 16];
-        for (k, slot) in out.iter_mut().enumerate() {
-            *slot = src[(k + n) & 15];
-        }
-        self.regs[rt as usize] = V128::from_bytes(out);
-    }
-
     fn read_channel(&mut self, env: &mut SpeEnv, ch: u8) -> CellResult<u32> {
         match ch {
             channel::SPU_RD_DEC => {
@@ -688,32 +674,34 @@ impl Interpreter {
             channel::MFC_WR_TAG_UPDATE => Ok(()),
             channel::MFC_CMD => {
                 self.flush_cycles(env);
-                let ea = (u64::from(self.mfc_eah) << 32) | u64::from(self.mfc_eal);
-                let (lsa, size, tag) = (self.mfc_lsa, self.mfc_size, self.mfc_tag);
-                match value {
-                    MFC_CMD_GET => {
-                        env.mfc
-                            .get(&mut env.ls, lsa, ea, size as usize, tag, &mut env.clock)?;
-                    }
-                    MFC_CMD_PUT => {
-                        env.mfc
-                            .put(&mut env.ls, lsa, ea, size as usize, tag, &mut env.clock)?;
-                    }
+                let get = match value {
+                    MFC_CMD_GET => true,
+                    MFC_CMD_PUT => false,
                     other => {
                         return Err(spe_fault(
                             env.spe_id(),
                             format!("isa: unsupported MFC command {other:#x}"),
                         ));
                     }
-                }
+                };
+                let ea = (u64::from(self.mfc_eah) << 32) | u64::from(self.mfc_eal);
+                let (lsa, size, tag) = (self.mfc_lsa, self.mfc_size, self.mfc_tag);
+                // Recorded before issue: a command the MFC rejects still
+                // reaches the trace, so lint can explain the fault.
                 self.trace.dma_ops.push(DmaOp {
-                    get: value == MFC_CMD_GET,
+                    get,
                     lsa,
                     ea,
                     size,
                     tag,
                 });
-                Ok(())
+                if get {
+                    env.mfc
+                        .get(&mut env.ls, lsa, ea, size as usize, tag, &mut env.clock)
+                } else {
+                    env.mfc
+                        .put(&mut env.ls, lsa, ea, size as usize, tag, &mut env.clock)
+                }
             }
             channel::SPU_WR_OUT_MBOX => {
                 self.flush_cycles(env);
@@ -736,25 +724,136 @@ fn branch_target(pc: u32, imm: i32) -> u32 {
     pc.wrapping_add((imm as u32).wrapping_mul(4)) & !3
 }
 
-/// The shuffle pattern `cwx`/`cwd` generate: identity over the second
-/// operand (`0x10 + i`), except the addressed word slot takes bytes
-/// 0..=3 of the first operand. Used as
+/// `shufb`: result byte `i` is byte `c[i] & 0x1F` of the 32-byte
+/// concatenation of `a` and `b`.
+fn shufb(a: V128, b: V128, c: V128) -> V128 {
+    let mut cat = [0u8; 32];
+    cat[..16].copy_from_slice(&a.to_bytes());
+    cat[16..].copy_from_slice(&b.to_bytes());
+    V128::from_bytes(c.to_bytes().map(|i| cat[usize::from(i & 0x1F)]))
+}
+
+/// `rotqby`/`rotqbyi`: rotate the quadword left by `n & 15` bytes, so
+/// result byte `k` is source byte `(k + n) & 15` and the byte at LS
+/// offset `n` lands in byte 0. Byte 0 is the low byte of the
+/// little-endian `u128`, so this is a right rotation of it.
+fn rotate_bytes(v: V128, n: u32) -> V128 {
+    let q = u128::from_le_bytes(v.to_bytes());
+    V128::from_bytes(q.rotate_right(8 * (n & 15)).to_le_bytes())
+}
+
+/// The shuffle patterns `cwx`/`cwd` generate, one per word slot:
+/// identity over the second operand (`0x10 + i`), except the addressed
+/// slot takes bytes 0..=3 of the first operand.
+const WORD_INSERT_PATTERNS: [[u8; 16]; 4] = {
+    let mut patterns = [[0u8; 16]; 4];
+    let mut slot = 0;
+    while slot < 4 {
+        let mut i = 0;
+        while i < 16 {
+            patterns[slot][i] = if i / 4 == slot {
+                (i % 4) as u8
+            } else {
+                0x10 + i as u8
+            };
+            i += 1;
+        }
+        slot += 1;
+    }
+    patterns
+};
+
+/// The `cwx`/`cwd` pattern for `addr`'s word slot. Used as
 /// `shufb(rt, new_scalar, old_quad, pattern)` to insert a word.
 fn word_insert_pattern(addr: u32) -> V128 {
-    let slot = ((addr & 15) >> 2) as usize;
-    let mut bytes = [0u8; 16];
-    for (i, b) in bytes.iter_mut().enumerate() {
-        *b = 0x10 + i as u8;
-    }
-    for (i, b) in bytes[slot * 4..slot * 4 + 4].iter_mut().enumerate() {
-        *b = i as u8;
-    }
-    V128::from_bytes(bytes)
+    V128::from_bytes(WORD_INSERT_PATTERNS[((addr & 15) >> 2) as usize])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The byte loops the quadword shuffles replaced, kept as their
+    // reference.
+
+    fn shufb_bytes(a: [u8; 16], b: [u8; 16], c: [u8; 16]) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        for i in 0..16 {
+            let idx = (c[i] & 0x1F) as usize;
+            out[i] = if idx < 16 { a[idx] } else { b[idx - 16] };
+        }
+        out
+    }
+
+    fn rotate_bytes_loop(src: [u8; 16], n: usize) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        for (k, slot) in out.iter_mut().enumerate() {
+            *slot = src[(k + n) & 15];
+        }
+        out
+    }
+
+    fn word_insert_pattern_loop(addr: u32) -> [u8; 16] {
+        let slot = ((addr & 15) >> 2) as usize;
+        let mut bytes = [0u8; 16];
+        for (i, b) in bytes.iter_mut().enumerate() {
+            *b = 0x10 + i as u8;
+        }
+        for (i, b) in bytes[slot * 4..slot * 4 + 4].iter_mut().enumerate() {
+            *b = i as u8;
+        }
+        bytes
+    }
+
+    #[test]
+    fn shufb_matches_the_byte_loop_for_every_control_byte_and_position() {
+        // 32 distinct source bytes, so every selection is visible.
+        let a: [u8; 16] = std::array::from_fn(|i| 0xA0 + i as u8);
+        let b: [u8; 16] = std::array::from_fn(|i| 0xC0 + i as u8);
+        for ctl in 0..=255u8 {
+            for pos in 0..16 {
+                let mut c: [u8; 16] = std::array::from_fn(|i| (i as u8).wrapping_mul(37) ^ ctl);
+                c[pos] = ctl;
+                let got = shufb(
+                    V128::from_bytes(a),
+                    V128::from_bytes(b),
+                    V128::from_bytes(c),
+                );
+                assert_eq!(
+                    got.to_bytes(),
+                    shufb_bytes(a, b, c),
+                    "control {ctl:#04x} at {pos}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rotate_bytes_matches_the_byte_loop_for_every_count() {
+        let src: [u8; 16] = std::array::from_fn(|i| 0x31 + 7 * i as u8);
+        for n in 0..=31u32 {
+            let got = rotate_bytes(V128::from_bytes(src), n);
+            assert_eq!(
+                got.to_bytes(),
+                rotate_bytes_loop(src, n as usize),
+                "count {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn word_insert_pattern_matches_the_byte_loop_for_every_low_nibble() {
+        for nibble in 0..16u32 {
+            for high in [0, 0x3_FFF0, 0xFFFF_FFF0] {
+                let addr = high | nibble;
+                assert_eq!(
+                    word_insert_pattern(addr).to_bytes(),
+                    word_insert_pattern_loop(addr),
+                    "address {addr:#x}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn word_insert_pattern_targets_the_addressed_slot() {

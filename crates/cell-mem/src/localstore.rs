@@ -43,6 +43,7 @@ impl LocalStore {
         }
     }
 
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.data.len()
     }
@@ -107,6 +108,7 @@ impl LocalStore {
         self.next = align_up(self.code_reserved, QUADWORD);
     }
 
+    #[inline]
     fn span(&self, addr: LsAddr, len: usize) -> CellResult<(usize, usize)> {
         let start = addr as usize;
         let end = start
@@ -127,6 +129,7 @@ impl LocalStore {
     }
 
     /// Read `out.len()` bytes from `addr`.
+    #[inline]
     pub fn read(&self, addr: LsAddr, out: &mut [u8]) -> CellResult<()> {
         let (s, e) = self.span(addr, out.len())?;
         out.copy_from_slice(&self.data[s..e]);
@@ -134,6 +137,7 @@ impl LocalStore {
     }
 
     /// Write `src` at `addr`.
+    #[inline]
     pub fn write(&mut self, addr: LsAddr, src: &[u8]) -> CellResult<()> {
         let (s, e) = self.span(addr, src.len())?;
         self.data[s..e].copy_from_slice(src);
@@ -141,12 +145,14 @@ impl LocalStore {
     }
 
     /// Borrow a slice of the store (for zero-copy kernel compute).
+    #[inline]
     pub fn slice(&self, addr: LsAddr, len: usize) -> CellResult<&[u8]> {
         let (s, e) = self.span(addr, len)?;
         Ok(&self.data[s..e])
     }
 
     /// Borrow a mutable slice of the store.
+    #[inline]
     pub fn slice_mut(&mut self, addr: LsAddr, len: usize) -> CellResult<&mut [u8]> {
         let (s, e) = self.span(addr, len)?;
         Ok(&mut self.data[s..e])
@@ -279,6 +285,52 @@ mod tests {
         let mut buf = [0u8; 32];
         assert!(s.read((64 * 1024 - 16) as LsAddr, &mut buf).is_err());
         assert!(s.read(u32::MAX, &mut buf).is_err());
+    }
+
+    fn overflows<T>(r: CellResult<T>) -> bool {
+        matches!(r, Err(CellError::LocalStoreOverflow { .. }))
+    }
+
+    #[test]
+    fn accessors_reach_the_last_byte_and_reject_one_past_it() {
+        let mut s = ls();
+        let last = (s.capacity() - 16) as LsAddr;
+        let mut buf = [0u8; 16];
+        assert!(s.write(last, &[9u8; 16]).is_ok());
+        assert!(s.read(last, &mut buf).is_ok());
+        assert_eq!(buf, [9u8; 16]);
+        assert_eq!(s.slice(last, 16).unwrap(), &[9u8; 16]);
+        assert_eq!(s.slice_mut(last, 16).unwrap().len(), 16);
+
+        let past = last + 1;
+        assert!(overflows(s.read(past, &mut buf)));
+        assert!(overflows(s.write(past, &buf)));
+        assert!(overflows(s.slice(past, 16)));
+        assert!(overflows(s.slice_mut(past, 16)));
+    }
+
+    #[test]
+    fn accessors_reject_wrapping_spans_without_panicking() {
+        let mut s = ls();
+        let mut byte = [0u8; 1];
+        assert!(overflows(s.read(u32::MAX, &mut byte)));
+        assert!(overflows(s.write(u32::MAX, &byte)));
+        assert!(overflows(s.slice(u32::MAX, 1)));
+        assert!(overflows(s.slice_mut(u32::MAX, 1)));
+        // `addr + len` overflows usize. No buffer is that long, so only
+        // the borrowing accessors can ask for it.
+        assert!(overflows(s.slice(1, usize::MAX)));
+        assert!(overflows(s.slice_mut(1, usize::MAX)));
+    }
+
+    #[test]
+    fn slices_mut_rejects_an_out_of_bounds_second_span() {
+        let mut s = ls();
+        let a = s.alloc(64, 16).unwrap();
+        let last = (s.capacity() - 16) as LsAddr;
+        assert!(overflows(s.slices_mut((a, 64), (last, 32))));
+        assert!(overflows(s.slices_mut((a, 64), (1, usize::MAX))));
+        assert!(s.slices_mut((a, 64), (last, 16)).is_ok());
     }
 
     #[test]

@@ -190,6 +190,7 @@ mod isa_traces {
     use std::sync::{Arc, Mutex};
 
     use cell_core::MachineConfig;
+    use cell_isa::interp::{channel, MFC_CMD_GET};
     use cell_isa::{Assembler, ExecTrace, IsaProgram, TraceSink};
     use cell_lint::{analyze_trace, LintConfig};
     use cell_sys::CellMachine;
@@ -237,6 +238,44 @@ mod isa_traces {
         assert!(ok, "wrapped access completes");
         let report = analyze_trace(&trace, 64 * 1024, "wild-load", &LintConfig::new());
         assert!(report.has("isa-ls-oob"), "{}", report.render());
+    }
+
+    /// One MFC GET of `size` bytes from EA 0x1000 into `lsa`, then stop.
+    fn mfc_get(lsa: i32, size: i32) -> Assembler {
+        let mut a = Assembler::new();
+        a.ila(4, lsa);
+        a.wrch(channel::MFC_LSA, 4);
+        a.il(5, 0);
+        a.wrch(channel::MFC_EAH, 5);
+        a.ila(6, 0x1000);
+        a.wrch(channel::MFC_EAL, 6);
+        a.il(7, size);
+        a.wrch(channel::MFC_SIZE, 7);
+        a.wrch(channel::MFC_TAG_ID, 5);
+        a.il(8, MFC_CMD_GET as i32);
+        a.wrch(channel::MFC_CMD, 8);
+        a.stop(0);
+        a
+    }
+
+    #[test]
+    fn illegal_dma_size_triggers_isa_dma_size() {
+        // 24 B is neither 1/2/4/8 nor a quadword multiple: the MFC
+        // rejects the command at issue, and the trace must still hold it.
+        let (trace, ok) = run_for_trace(mfc_get(0x4000, 24));
+        assert!(!ok, "an illegal DMA size must fault the SPE");
+        let report = analyze_trace(&trace, 64 * 1024, "dma-size", &LintConfig::new());
+        assert!(report.has("isa-dma-size"), "{}", report.render());
+        assert!(!report.has("isa-dma-misaligned"), "{}", report.render());
+    }
+
+    #[test]
+    fn unaligned_dma_lsa_triggers_isa_dma_misaligned() {
+        let (trace, ok) = run_for_trace(mfc_get(0x4004, 32));
+        assert!(!ok, "a quadword DMA at an unaligned LSA must fault the SPE");
+        let report = analyze_trace(&trace, 64 * 1024, "dma-misaligned", &LintConfig::new());
+        assert!(report.has("isa-dma-misaligned"), "{}", report.render());
+        assert!(!report.has("isa-dma-size"), "{}", report.render());
     }
 
     #[test]
