@@ -11,8 +11,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use cell_bench::harness::{write_artifact, Criterion};
-use cell_bench::{criterion_group, criterion_main};
+use cell_bench::harness::write_artifact;
 use cell_core::{MachineConfig, MachineProfile, SplitMix64};
 use cell_isa::{
     build_gray_kernel, build_hist_kernel, build_jacobi_kernel, write_header, ExecTrace, IsaImage,
@@ -156,7 +155,7 @@ fn write_bench_json(cals: &[Calibration]) -> std::io::Result<String> {
     write_artifact("BENCH_10", &w.finish())
 }
 
-fn bench_isa(c: &mut Criterion) {
+fn main() {
     let traces = seeded_traces();
     println!("ISA cycle calibration (seed {SEED:#x}, band {TOLERANCE:?}):");
     let cals: Vec<Calibration> = traces
@@ -177,17 +176,4 @@ fn bench_isa(c: &mut Criterion) {
         .collect();
     let path = write_bench_json(&cals).unwrap();
     println!("report: {path}\n");
-
-    // Host cost of interpretation (simulation throughput, not SPU time).
-    let mut g = c.benchmark_group("isa_interpreter_host_cost");
-    g.sample_size(10);
-    let gray = build_gray_kernel().unwrap();
-    let input: Vec<u8> = (0..1024u32).map(|i| i as u8).collect();
-    g.bench_function("gray/256px", |b| {
-        b.iter(|| run_interpreted(&gray, &input, 1024, 256, 0));
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench_isa);
-criterion_main!(benches);

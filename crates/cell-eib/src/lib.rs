@@ -15,14 +15,25 @@
 //!   grants queue, which is why the paper's grouped-parallel scheduling
 //!   (Fig. 4c) does not scale perfectly.
 //!
-//! The model is a resource calendar, not a cycle-stepped ring topology:
-//! each ring slot and the command bus have a "free at" bus-cycle time, a
-//! transfer takes the earliest slot that fits its direction, and the grant
-//! reports when its data will have arrived. That is the level of detail
-//! the paper's analysis (and any porting decision) actually consumes.
+//! The model is a resource calendar, not a cycle-stepped ring topology.
+//! The command bus, each ring slot and each element port (per direction)
+//! keep their busy intervals in bus cycles. A request stamped `now` takes
+//! the earliest command-bus gap at or after `now`, then the earliest start
+//! at which one ring slot (preferred direction first) and both ports are
+//! free for its whole data phase, and the grant reports when its data
+//! will have arrived. That is the level of detail the paper's analysis
+//! (and any porting decision) actually consumes.
+//!
+//! Grants follow the stamps, not the order in which host threads call
+//! in: a request never queues behind a booking that a thread running
+//! ahead in virtual time made for later. Each calendar keeps only its
+//! newest intervals and counts the time before them as busy, so memory
+//! stays bounded however far the requesters' clocks drift apart. Only
+//! requests that really overlap in virtual time still order by arrival.
 
 use cell_core::{EibConfig, Frequency};
 use cell_trace::{Counter, EventKind, TraceConfig, Tracer, Track, TrackData};
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// A device attached to the EIB.
@@ -89,23 +100,118 @@ pub struct EibStats {
     pub horizon: u64,
 }
 
+/// Intervals a calendar keeps when it prunes.
+const KEEP: usize = 32;
+/// A calendar that reaches this many intervals prunes back to [`KEEP`].
+const CAP: usize = 2 * KEEP;
+
+/// One resource's busy intervals `[start, end)` in bus cycles: sorted,
+/// disjoint and never touching (adjacent bookings merge). Time before
+/// `floor` counts as busy; pruning drops the oldest intervals and raises
+/// the floor to the end of the last one dropped.
+#[derive(Debug, Default)]
+struct Calendar {
+    busy: Vec<(u64, u64)>,
+    floor: u64,
+}
+
+impl Calendar {
+    /// The earliest `t >= from` with `[t, t + len)` free.
+    fn earliest(&self, from: u64, len: u64) -> u64 {
+        let mut t = from.max(self.floor);
+        if self.busy.last().is_none_or(|&(_, end)| end <= t) {
+            return t;
+        }
+        let first = self.busy.partition_point(|&(_, end)| end <= t);
+        for &(start, end) in &self.busy[first..] {
+            if t + len <= start {
+                break;
+            }
+            t = end;
+        }
+        t
+    }
+
+    /// Mark the free span `[start, end)` busy.
+    fn book(&mut self, start: u64, end: u64) {
+        debug_assert!(start >= self.floor && start < end);
+        let at = match self.busy.last_mut() {
+            // In order: extend or append.
+            Some(last) if last.1 == start => {
+                last.1 = end;
+                return;
+            }
+            Some(last) if last.1 < start => self.busy.len(),
+            None => 0,
+            Some(_) => self.busy.partition_point(|&(s, _)| s < start),
+        };
+        let joins_prev = at > 0 && self.busy[at - 1].1 == start;
+        let joins_next = at < self.busy.len() && self.busy[at].0 == end;
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.busy[at - 1].1 = self.busy.remove(at).1;
+            }
+            (true, false) => self.busy[at - 1].1 = end,
+            (false, true) => self.busy[at].0 = start,
+            (false, false) => {
+                self.busy.insert(at, (start, end));
+                if self.busy.len() == CAP {
+                    self.floor = self.busy[CAP - KEEP - 1].1;
+                    self.busy.drain(..CAP - KEEP);
+                }
+            }
+        }
+    }
+}
+
+/// The earliest `t >= from` at which `[t, t + len)` is free on every
+/// calendar. Each calendar's answer is a lower bound on the joint one,
+/// so raising `t` to it until all agree converges on the joint answer.
+fn earliest_on_all(calendars: &[&Calendar], from: u64, len: u64) -> u64 {
+    let mut t = from;
+    loop {
+        let before = t;
+        for c in calendars {
+            t = c.earliest(t, len);
+        }
+        if t == before {
+            return t;
+        }
+    }
+}
+
 #[derive(Debug)]
 struct State {
-    /// `rings × transfers_per_ring` busy-until times.
-    ring_slots: Vec<Vec<u64>>,
-    /// Command bus free-at time (one transaction start per bus cycle).
-    cmd_free_at: u64,
-    /// Per-element, per-direction port busy-until times (13 simplified
-    /// positions): an element's LS/memory port moves 16 B per bus cycle
-    /// *per direction* — two concurrent reads from one element cannot
-    /// double its outbound bandwidth, but a read and a write can overlap.
-    port_out_free_at: [u64; 13],
-    port_in_free_at: [u64; 13],
+    /// Command bus: one 128-byte transaction starts per bus cycle.
+    cmd: Calendar,
+    /// Ring slots, `transfers_per_ring` per ring, ring-major.
+    slots: Vec<Calendar>,
+    /// Per-element, per-direction ports (13 simplified positions): an
+    /// element's LS/memory port moves 16 B per bus cycle *per direction*
+    /// — two concurrent reads from one element cannot double its
+    /// outbound bandwidth, but a read and a write can overlap.
+    port_out: [Calendar; 13],
+    port_in: [Calendar; 13],
     stats: EibStats,
     /// Structured trace of grants; stamps in *bus* cycles. Lives under
     /// the same lock the calendar already takes, so tracing adds no
     /// extra synchronization.
     tracer: Tracer,
+}
+
+impl State {
+    fn new(cfg: &EibConfig, tracer: Tracer) -> Self {
+        State {
+            cmd: Calendar::default(),
+            slots: (0..cfg.rings * cfg.transfers_per_ring)
+                .map(|_| Calendar::default())
+                .collect(),
+            port_out: Default::default(),
+            port_in: Default::default(),
+            stats: EibStats::default(),
+            tracer,
+        }
+    }
 }
 
 /// The bus model. Cheap to share: all methods take `&self`.
@@ -117,17 +223,10 @@ pub struct Eib {
 
 impl Eib {
     pub fn new(cfg: EibConfig) -> Self {
-        let ring_slots = vec![vec![0u64; cfg.transfers_per_ring]; cfg.rings];
+        let tracer = Tracer::new(TraceConfig::Off, Track::Eib, cfg.bus_frequency.hertz());
         Eib {
+            state: Mutex::new(State::new(&cfg, tracer)),
             cfg,
-            state: Mutex::new(State {
-                ring_slots,
-                cmd_free_at: 0,
-                port_out_free_at: [0; 13],
-                port_in_free_at: [0; 13],
-                stats: EibStats::default(),
-                tracer: Tracer::new(TraceConfig::Off, Track::Eib, cfg.bus_frequency.hertz()),
-            }),
         }
     }
 
@@ -157,23 +256,21 @@ impl Eib {
         self.cfg.bus_frequency
     }
 
-    /// Rings eligible for a transfer from `src` to `dst`: half the rings
-    /// run clockwise, half counter-clockwise; the shorter direction is
-    /// preferred, mirroring how the real data arbiter avoids transfers
-    /// travelling more than halfway around.
-    fn eligible_rings(&self, src: Element, dst: Element) -> (Vec<usize>, Vec<usize>) {
+    /// Rings eligible for a transfer from `src` to `dst`, preferred
+    /// direction first: half the rings run clockwise, half
+    /// counter-clockwise; the shorter direction is preferred, mirroring
+    /// how the real data arbiter avoids transfers travelling more than
+    /// halfway around.
+    fn eligible_rings(&self, src: Element, dst: Element) -> [Range<usize>; 2] {
         let n = self.cfg.rings;
-        let clockwise: Vec<usize> = (0..n / 2).collect();
-        let counter: Vec<usize> = (n / 2..n).collect();
+        let (clockwise, counter) = (0..n / 2, n / 2..n);
         // 13 positions on the simplified ring.
         const RING_LEN: usize = 13;
-        let s = src.position();
-        let d = dst.position();
-        let forward = (d + RING_LEN - s) % RING_LEN;
+        let forward = (dst.position() + RING_LEN - src.position()) % RING_LEN;
         if forward <= RING_LEN / 2 {
-            (clockwise, counter)
+            [clockwise, counter]
         } else {
-            (counter, clockwise)
+            [counter, clockwise]
         }
     }
 
@@ -193,45 +290,42 @@ impl Eib {
         let granule = self.cfg.snoop_bytes_per_cycle.max(1) as u64;
         let cmd_slots = (bytes as u64).div_ceil(granule);
 
-        let (preferred, fallback) = self.eligible_rings(src, dst);
-        let mut st = self.state.lock().unwrap();
+        let rings = self.eligible_rings(src, dst);
+        let per_ring = self.cfg.transfers_per_ring;
+        let (out, inp) = (src.position(), dst.position());
+        let mut guard = self.state.lock().unwrap();
+        let st = &mut *guard;
 
-        // Command bus: serial server.
-        let cmd_start = st.cmd_free_at.max(now);
-        st.cmd_free_at = cmd_start + cmd_slots;
+        // Command bus: serial server, the earliest gap at or after `now`.
+        let cmd_start = st.cmd.earliest(now, cmd_slots);
+        st.cmd.book(cmd_start, cmd_start + cmd_slots);
 
-        // Choose the slot (preferred-direction rings first) that can start
-        // earliest once the command has issued.
-        let ready = cmd_start + 1;
-        let mut best: Option<(usize, usize, u64)> = None; // (ring, slot, start)
-        for ring_set in [&preferred, &fallback] {
-            for &r in ring_set {
-                for (si, &busy_until) in st.ring_slots[r].iter().enumerate() {
-                    let start = busy_until.max(ready);
-                    if best.is_none_or(|(_, _, b)| start < b) {
-                        best = Some((r, si, start));
-                    }
-                }
-            }
-            // Only consider the fallback direction if every preferred slot
-            // keeps us waiting beyond the command-issue point.
-            if let Some((_, _, start)) = best {
-                if start == ready {
+        // Data phase: the earliest start, once the command has issued, at
+        // which a ring slot and both element ports are free throughout.
+        // Element ports serialize per direction, so no slot can start
+        // before the ports' own earliest common gap; the first slot (in
+        // preference order) to reach that bound wins outright.
+        let ports = [&st.port_out[out], &st.port_in[inp]];
+        let bound = earliest_on_all(&ports, cmd_start + 1, data_cycles);
+        let mut best: Option<(usize, u64)> = None; // (slot, start)
+        for slot in rings
+            .into_iter()
+            .flat_map(|r| r.start * per_ring..r.end * per_ring)
+        {
+            let start = earliest_on_all(&[&st.slots[slot], ports[0], ports[1]], bound, data_cycles);
+            if best.is_none_or(|(_, b)| start < b) {
+                best = Some((slot, start));
+                if start == bound {
                     break;
                 }
             }
         }
-        let (ring, slot, start) = best.expect("EIB configured with zero rings");
-        // Element ports serialize per direction: the transfer cannot move
-        // data before the source's outbound and the destination's inbound
-        // port are both free.
-        let start = start
-            .max(st.port_out_free_at[src.position()])
-            .max(st.port_in_free_at[dst.position()]);
+        let (slot, start) = best.expect("EIB configured with zero rings");
+        let ring = slot / per_ring;
         let complete = start + data_cycles;
-        st.ring_slots[ring][slot] = complete;
-        st.port_out_free_at[src.position()] = complete;
-        st.port_in_free_at[dst.position()] = complete;
+        st.slots[slot].book(start, complete);
+        st.port_out[out].book(start, complete);
+        st.port_in[inp].book(start, complete);
 
         st.stats.transfers += 1;
         st.stats.bytes += bytes as u64;
@@ -282,18 +376,12 @@ impl Eib {
     /// Reset the calendar and statistics (between benchmark iterations).
     pub fn reset(&self) {
         let mut st = self.state.lock().unwrap();
-        for ring in &mut st.ring_slots {
-            ring.fill(0);
-        }
-        st.cmd_free_at = 0;
-        st.port_out_free_at = [0; 13];
-        st.port_in_free_at = [0; 13];
-        st.stats = EibStats::default();
-        st.tracer = Tracer::new(
+        let tracer = Tracer::new(
             st.tracer.config(),
             Track::Eib,
             self.cfg.bus_frequency.hertz(),
         );
+        *st = State::new(&self.cfg, tracer);
     }
 }
 
@@ -551,5 +639,79 @@ mod tests {
         }
         assert_eq!(e.stats().transfers, 800);
         assert_eq!(e.stats().bytes, 800 * 4096);
+    }
+
+    #[test]
+    fn calendar_finds_the_first_gap_that_fits() {
+        let mut c = Calendar::default();
+        c.book(30, 40);
+        c.book(10, 20);
+        assert_eq!(c.earliest(0, 5), 0);
+        assert_eq!(c.earliest(0, 11), 40);
+        assert_eq!(c.earliest(15, 10), 20);
+        assert_eq!(c.earliest(15, 11), 40);
+        // Touching bookings merge into one interval.
+        c.book(20, 30);
+        assert_eq!(c.busy, [(10, 40)]);
+    }
+
+    #[test]
+    fn an_earlier_stamp_never_queues_behind_a_later_booking() {
+        let e = eib();
+        let late = e.transfer(Element::Memory, Element::Spe(0), 16 * 1024, 10_000_000);
+        assert_eq!(late.start, 10_000_001);
+        // The bus is idle at cycle 0: the command issues at once and the
+        // data moves on the next cycle.
+        let early = e.transfer(Element::Memory, Element::Spe(0), 16, 0);
+        assert_eq!((early.start, early.complete), (1, 2));
+        assert_eq!(e.stats().queued_cycles, 0);
+    }
+
+    #[test]
+    fn grants_follow_stamps_not_arrival_order() {
+        let book = |order: &[u64]| {
+            let e = eib();
+            let mut grants: Vec<(u64, TransferGrant)> = order
+                .iter()
+                .map(|&i| {
+                    (
+                        i,
+                        e.transfer(Element::Memory, Element::Spe(0), 256, i * 100_000),
+                    )
+                })
+                .collect();
+            grants.sort_by_key(|&(i, _)| i);
+            (grants, e.stats())
+        };
+        let in_order: Vec<u64> = (0..8).collect();
+        let reversed: Vec<u64> = (0..8).rev().collect();
+        assert_eq!(book(&in_order), book(&reversed));
+    }
+
+    #[test]
+    fn calendars_stay_bounded_under_scattered_stamps() {
+        let e = eib();
+        let mut rng = cell_core::SplitMix64::new(0xE1B);
+        let element = |i: u64| match i {
+            8 => Element::Memory,
+            9 => Element::Ppe,
+            i => Element::Spe(i as usize),
+        };
+        for _ in 0..100_000 {
+            let src = rng.next_below(10);
+            let dst = (src + 1 + rng.next_below(9)) % 10;
+            let bytes = 16 * rng.next_in(1, 1024) as usize;
+            e.transfer(element(src), element(dst), bytes, rng.next_below(1 << 26));
+        }
+        assert_eq!(e.stats().transfers, 100_000);
+        let st = e.state.lock().unwrap();
+        let calendars = std::iter::once(&st.cmd)
+            .chain(&st.slots)
+            .chain(&st.port_out)
+            .chain(&st.port_in);
+        for c in calendars {
+            assert!(c.busy.len() < CAP, "{} intervals", c.busy.len());
+            assert!(c.busy.windows(2).all(|w| w[0].1 < w[1].0));
+        }
     }
 }

@@ -39,9 +39,10 @@ pub struct RecoveryEvent {
     /// PPE virtual clock when the decision was taken. It is set from
     /// mailbox stamps and whole-poll timeout charges, never from how many
     /// host polls a wait took. Any spread left between runs comes from
-    /// the EIB, which grants DMA in host arrival order and so moves the
-    /// stamps of kernels that share the bus; equality checks across
-    /// parallel runs should compare kind/spe/kernel, not `at`.
+    /// DMA requests that overlap in virtual time, which the EIB still
+    /// orders by host arrival, moving the stamps of kernels that share
+    /// the bus; equality checks across parallel runs should compare
+    /// kind/spe/kernel, not `at`.
     pub at: u64,
     /// The SPE the decision was about.
     pub spe: usize,

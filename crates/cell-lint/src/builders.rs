@@ -431,7 +431,7 @@ pub fn model_cluster(
     image_w: usize,
     image_h: usize,
 ) -> CellResult<PortModel> {
-    let server = cluster.server(0).ok_or(CellError::BadConfig {
+    let server = cluster.server(0).ok_or_else(|| CellError::BadConfig {
         message: "cluster has no live blade to model".to_string(),
     })?;
     let mut model = model_serve(server, image_w, image_h)?;

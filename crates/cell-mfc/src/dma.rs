@@ -193,7 +193,7 @@ impl Mfc {
                 .iter()
                 .map(|p| p.complete_at)
                 .min()
-                .unwrap_or(clock.now());
+                .unwrap_or_else(|| clock.now());
             let stall = earliest.saturating_sub(clock.now());
             self.stats.stall_cycles += stall;
             self.tracer.count(Counter::DmaStallCycles, stall);
@@ -634,7 +634,7 @@ impl Mfc {
             }
             cursor = cursor
                 .checked_add(cell_core::align_up(size, QUADWORD) as u32)
-                .ok_or(CellError::LocalStoreOverflow {
+                .ok_or_else(|| CellError::LocalStoreOverflow {
                     offset: cursor,
                     len: size,
                     capacity: ls.capacity(),

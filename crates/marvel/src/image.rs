@@ -282,7 +282,7 @@ impl ColorImage {
             std::str::from_utf8(&t)
                 .ok()
                 .and_then(|s| s.parse().ok())
-                .ok_or(CellError::BadData {
+                .ok_or_else(|| CellError::BadData {
                     message: "bad PPM number".to_string(),
                 })
         };

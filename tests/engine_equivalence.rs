@@ -113,7 +113,7 @@ fn baseline_driver_on_the_engine_matches_the_reference_bytes() {
             None => CellMarvel::resilient(true, 7, FaultPlan::new(), TraceConfig::Off),
         }
         .unwrap();
-        let context = scenario.map_or("failover layout".to_string(), |s| format!("{s:?}"));
+        let context = scenario.map_or_else(|| "failover layout".to_string(), |s| format!("{s:?}"));
         for (i, input) in inputs.iter().enumerate() {
             let got = cell.analyze(input).unwrap();
             assert_bit_identical(&got, &baseline[i], &format!("{context} {i}"));
