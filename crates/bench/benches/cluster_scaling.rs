@@ -18,8 +18,7 @@
 
 use std::time::{Duration, Instant};
 
-use cell_bench::harness::{write_artifact, Criterion};
-use cell_bench::{criterion_group, criterion_main, SEED};
+use cell_bench::{write_artifact, SEED};
 use cell_cluster::{CellCluster, ClusterConfig, ClusterOutput};
 use cell_fault::FaultPlan;
 use cell_serve::{generate, Request, ServeConfig, WorkloadSpec};
@@ -107,7 +106,7 @@ fn write_scaling(w: &mut JsonWriter, blades: usize, r: &Run) {
     w.end_object();
 }
 
-fn bench_cluster(c: &mut Criterion) {
+fn main() {
     // --- Blade scaling: 1 vs 2 vs 4 blades on the same burst. ---
     let runs: Vec<(usize, Run)> = [1usize, 2, 4]
         .into_iter()
@@ -184,16 +183,4 @@ fn bench_cluster(c: &mut Criterion) {
     w.end_object().end_object();
     let path = write_artifact("BENCH_07", &w.finish()).unwrap();
     println!("report: {path}\n");
-
-    // Host-clock samples for criterion's statistics (the JSON keeps the
-    // single-run numbers).
-    let mut g = c.benchmark_group("cluster");
-    g.sample_size(10);
-    g.bench_function("burst/2blades", |b| {
-        b.iter(|| run(2, false, burst_workload(4)));
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench_cluster);
-criterion_main!(benches);

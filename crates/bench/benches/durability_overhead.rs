@@ -17,8 +17,7 @@
 
 use std::time::{Duration, Instant};
 
-use cell_bench::harness::{write_artifact, Criterion};
-use cell_bench::{criterion_group, criterion_main};
+use cell_bench::write_artifact;
 use cell_durable::{DurableConfig, DurableDisks, DurableServer, RunStatus};
 use cell_fault::FaultPlan;
 use cell_serve::{generate, Request, ServeConfig, WorkloadSpec};
@@ -157,7 +156,7 @@ fn write_bench_json(
     write_artifact("BENCH_09", &w.finish())
 }
 
-fn bench_durability(c: &mut Criterion) {
+fn main() {
     let (off, _, _) = measure_soak(false, 3);
     let (on, _, journal_bytes) = measure_soak(true, 3);
     let ratio = secs(on) / secs(off).max(1e-12);
@@ -197,20 +196,4 @@ fn bench_durability(c: &mut Criterion) {
 
     let path = write_bench_json(off, on, journal_bytes, &points, &checkpointed).unwrap();
     println!("report: {path}\n");
-
-    // Host-clock samples for criterion statistics (the JSON keeps the
-    // best-of-3 soak numbers).
-    let mut g = c.benchmark_group("durability");
-    g.sample_size(10);
-    g.bench_function("journal_scan/12", |b| {
-        let requests = workload(4);
-        let mut srv = DurableServer::boot(config(true, 0), &FaultPlan::new()).unwrap();
-        srv.run_stream(&requests).unwrap();
-        let journal = srv.finish().unwrap().disks.journal;
-        b.iter(|| cell_durable::scan(&journal).records.len());
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench_durability);
-criterion_main!(benches);

@@ -10,15 +10,12 @@
 //!   `SPU_BATCH` frames (one mailbox round-trip per frame) vs one
 //!   round-trip per call.
 //!
-//! Both comparisons are on *simulated* cycles (fixed seeds, deterministic
-//! virtual clock), so the numbers are exactly reproducible; host time is
-//! benched separately below. Results are written to
+//! Both comparisons are on *simulated* cycles (fixed seeds), so the
+//! numbers repeat up to EIB tie order. Results are written to
 //! `target/bench/BENCH_05.json` for the CI artifact.
 
-use cell_bench::harness::{write_artifact, BenchmarkId, Criterion};
 use cell_bench::{
-    criterion_group, criterion_main, measure_engine_batching, measure_engine_pipelining,
-    small_workload, SEED,
+    measure_engine_batching, measure_engine_pipelining, small_workload, write_artifact, SEED,
 };
 use cell_core::{Frequency, VirtualDuration};
 use cell_trace::json::JsonWriter;
@@ -55,7 +52,7 @@ fn write_bench_json(
     write_artifact("BENCH_05", &w.finish())
 }
 
-fn bench_engine(c: &mut Criterion) {
+fn main() {
     let inputs = small_workload(FRAMES, 96, 64);
 
     let (serial, pipelined) = measure_engine_pipelining(&inputs).unwrap();
@@ -86,19 +83,4 @@ fn bench_engine(c: &mut Criterion) {
 
     let path = write_bench_json(serial, pipelined, unbatched, batched).unwrap();
     println!("report: {path}\n");
-
-    // Host cost of the two dispatch strategies (simulation throughput).
-    let mut g = c.benchmark_group("engine_dispatch_host_cost");
-    g.sample_size(10);
-    let small = small_workload(2, 48, 32);
-    g.bench_with_input(BenchmarkId::new("pipelined", 2), &small, |b, inputs| {
-        b.iter(|| measure_engine_pipelining(inputs).unwrap());
-    });
-    g.bench_function("batched/64", |b| {
-        b.iter(|| measure_engine_batching(64).unwrap());
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench_engine);
-criterion_main!(benches);

@@ -11,7 +11,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use cell_bench::harness::write_artifact;
+use cell_bench::write_artifact;
 use cell_core::{MachineConfig, MachineProfile, SplitMix64};
 use cell_isa::{
     build_gray_kernel, build_hist_kernel, build_jacobi_kernel, write_header, ExecTrace, IsaImage,

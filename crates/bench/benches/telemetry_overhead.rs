@@ -18,10 +18,9 @@
 
 use std::time::Duration;
 
-use cell_bench::harness::{write_artifact, Criterion};
 use cell_bench::{
-    criterion_group, criterion_main, measure_event_prealloc, measure_serve_throughput,
-    measure_trace_overhead, small_workload, SEED,
+    measure_event_prealloc, measure_serve_throughput, measure_trace_overhead, small_workload,
+    write_artifact, SEED,
 };
 use cell_trace::json::JsonWriter;
 
@@ -72,7 +71,7 @@ fn write_bench_json(
     write_artifact("BENCH_06", &w.finish())
 }
 
-fn bench_telemetry(c: &mut Criterion) {
+fn main() {
     let inputs = small_workload(FRAMES, 96, 64);
 
     let (off, full) = measure_trace_overhead(&inputs, 3).unwrap();
@@ -109,17 +108,4 @@ fn bench_telemetry(c: &mut Criterion) {
 
     let path = write_bench_json(off, full, served, serve_wall, cold, prereserved).unwrap();
     println!("report: {path}\n");
-
-    // Host-clock samples of the overhead measurement for criterion's
-    // statistics (the JSON above keeps the single best-of-3 numbers).
-    let mut g = c.benchmark_group("telemetry");
-    g.sample_size(10);
-    let tiny = small_workload(2, 48, 32);
-    g.bench_function("traced_pipeline/2", |b| {
-        b.iter(|| measure_trace_overhead(&tiny, 1).unwrap());
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench_telemetry);
-criterion_main!(benches);

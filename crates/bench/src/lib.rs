@@ -1,15 +1,24 @@
 //! Shared experiment machinery for the paper-reproduction harness.
 //!
 //! Every table and figure of the paper's evaluation maps to a function
-//! here (see DESIGN.md's experiment index); the `experiments` binary and
-//! the benches are thin layers over these functions.
+//! here (see DESIGN.md's experiment index). The `experiments` binary
+//! prints them; the `benches/` programs assert the engine, telemetry,
+//! cluster, durability and ISA-calibration claims and write them to
+//! `target/bench/BENCH_*.json` with [`write_artifact`].
 
-pub mod harness;
+use std::sync::Arc;
 
-use cell_core::{CellResult, MachineProfile, VirtualDuration};
+use cell_core::{
+    CellResult, Cycles, EibConfig, Frequency, MachineConfig, MachineProfile, VirtualClock,
+    VirtualDuration,
+};
+use cell_eib::{Eib, Element};
+use cell_fault::FaultPlan;
+use cell_mem::{LocalStore, MainMemory};
+use cell_mfc::{Mfc, StreamReader};
 use cell_sys::machine::CellMachine;
+use cell_trace::TraceConfig;
 use marvel::app::{CellMarvel, ReferenceMarvel, Scenario, EXTRACT_KINDS};
-use marvel::classify::svm::SvmModel;
 use marvel::codec::{self, Compressed};
 use marvel::features::KernelKind;
 use marvel::image::ColorImage;
@@ -38,13 +47,14 @@ pub fn small_workload(n: usize, w: usize, h: usize) -> Vec<Compressed> {
         .collect()
 }
 
-/// The reference machines of the paper's comparison.
-pub fn reference_machines() -> [MachineProfile; 3] {
-    [
-        MachineProfile::laptop(),
-        MachineProfile::desktop(),
-        MachineProfile::ppe(),
-    ]
+/// Write a bench artifact to the workspace's `target/bench/<name>.json`,
+/// whatever cwd cargo runs the bench from, and return its path.
+pub fn write_artifact(name: &str, json: &str) -> std::io::Result<String> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench");
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("{name}.json"));
+    std::fs::write(&path, json)?;
+    Ok(path.display().to_string())
 }
 
 // =========================================================================
@@ -142,7 +152,7 @@ pub struct KernelMeasurements {
 
 /// Measure all five kernels across all machines for one image — the data
 /// behind Table 1, Figure 6 and the §5.3 unoptimized comparison.
-pub fn measure_kernels(img: &ColorImage, with_unoptimized: bool) -> CellResult<KernelMeasurements> {
+pub fn measure_kernels(img: &ColorImage) -> CellResult<KernelMeasurements> {
     // Reference profiles for the Laptop/Desktop/PPE columns.
     let input = codec::encode(img, 90);
     let mut reference = ReferenceMarvel::new(SEED);
@@ -158,7 +168,7 @@ pub fn measure_kernels(img: &ColorImage, with_unoptimized: bool) -> CellResult<K
     let mut rows = Vec::new();
     for kind in EXTRACT_KINDS {
         let spe = measure_spe_extract(kind, true, img)?;
-        let spe_unoptimized = if with_unoptimized && kind != KernelKind::Tx {
+        let spe_unoptimized = if kind != KernelKind::Tx {
             Some(measure_spe_extract(kind, false, img)?)
         } else {
             None
@@ -288,7 +298,6 @@ pub fn measure_engine_pipelining(
 /// [`portkit::opcodes::MAX_BATCH`] members (one round-trip per frame).
 /// Returns `(unbatched, batched)`.
 pub fn measure_engine_batching(n: usize) -> CellResult<(VirtualDuration, VirtualDuration)> {
-    use cell_core::MachineConfig;
     use cell_engine::Engine;
     use portkit::dispatcher::KernelDispatcher;
     use portkit::opcodes::MAX_BATCH;
@@ -325,6 +334,111 @@ pub fn measure_engine_batching(n: usize) -> CellResult<(VirtualDuration, Virtual
         Ok(dt)
     };
     Ok((run(false)?, run(true)?))
+}
+
+// =========================================================================
+// Ablations (E13) and degraded mode (E14)
+// =========================================================================
+
+/// Total and DMA-stall cycles of one SPE streaming 512 KiB from main
+/// memory in 16 KiB chunks through a `depth`-deep [`StreamReader`],
+/// computing 10,000 cycles per chunk: the §4.1 multibuffering knob.
+pub fn measure_multibuffer(depth: usize) -> CellResult<(u64, u64)> {
+    const TOTAL: usize = 512 * 1024;
+    let cfg = MachineConfig::default();
+    let mem = Arc::new(MainMemory::new(8 << 20));
+    let eib = Arc::new(Eib::new(EibConfig::default()));
+    let mut mfc = Mfc::new(0, Arc::clone(&mem), eib, cfg.dma);
+    let mut ls = LocalStore::new(cfg.local_store_size, cfg.code_reserved);
+    let mut clock = VirtualClock::new(Frequency::ghz(3.2));
+    let ea = mem.alloc(TOTAL, 128)?;
+    let mut reader = StreamReader::new(
+        &mut mfc,
+        &mut ls,
+        &mut clock,
+        ea,
+        TOTAL,
+        16 * 1024,
+        depth,
+        0,
+    )?;
+    while reader.acquire(&mut mfc, &mut clock)?.is_some() {
+        clock.advance(Cycles(10_000));
+        reader.release(&mut mfc, &mut ls, &mut clock)?;
+    }
+    Ok((clock.now(), mfc.stats().stall_cycles))
+}
+
+/// EIB contention when `spes` SPEs each issue 64 gets of 16 KiB from
+/// main memory at cycle 0: returns the bus horizon, the summed queueing
+/// cycles and the achieved bandwidth in bytes per second.
+pub fn measure_eib_contention(spes: usize) -> (u64, u64, f64) {
+    let eib = Eib::new(EibConfig::default());
+    for s in 0..spes {
+        for _ in 0..64 {
+            eib.transfer(Element::Memory, Element::Spe(s), 16 * 1024, 0);
+        }
+    }
+    let stats = eib.stats();
+    (stats.horizon, stats.queued_cycles, eib.achieved_bandwidth())
+}
+
+/// PPE virtual time of 200 echo round trips to one SPE whose
+/// dispatcher replies in `mode` (§3.5 step 6: polling vs interrupt).
+pub fn measure_reply_mode(mode: ReplyMode) -> CellResult<VirtualDuration> {
+    use portkit::dispatcher::KernelDispatcher;
+    let mut m = CellMachine::new(MachineConfig::small())?;
+    let mut ppe = m.ppe();
+    let mut d = KernelDispatcher::new("echo", mode);
+    let op = d.register("echo", |_, v| Ok(v));
+    let h = m.spawn(0, Box::new(d))?;
+    let mut iface = SpeInterface::new("echo", 0, mode);
+    for i in 0..200 {
+        iface.send_and_wait(&mut ppe, op, i)?;
+    }
+    iface.close(&mut ppe)?;
+    h.join()?;
+    Ok(ppe.elapsed())
+}
+
+/// The SPEs E14 crashes, one set per row: none, one, and four of the
+/// five SPEs the grouped schedule dispatches to.
+pub const DEGRADED_CRASHES: [&[usize]; 3] = [&[], &[1], &[1, 2, 3, 4]];
+
+/// One degraded-mode run of the resilient MARVEL port.
+#[derive(Debug, Clone, Copy)]
+pub struct DegradedRun {
+    /// SPEs still alive at the end, out of 8.
+    pub survivors: usize,
+    /// Failovers the engine performed, one per crashed SPE.
+    pub failovers: u64,
+    /// Eq. 3 estimate vs the Desktop on the surviving SPEs.
+    pub estimate: f64,
+    /// PPE virtual time of the whole run.
+    pub elapsed: VirtualDuration,
+}
+
+/// Run `inputs` through [`CellMarvel::resilient`] with every SPE in
+/// `crashed` crashing on its first dispatch, so its work fails over to
+/// the survivors.
+pub fn measure_degraded(inputs: &[Compressed], crashed: &[usize]) -> CellResult<DegradedRun> {
+    let plan = crashed
+        .iter()
+        .fold(FaultPlan::new(), |p, &s| p.crash_spe(s, 1));
+    let mut cell = CellMarvel::resilient(true, SEED, plan, TraceConfig::Off)?;
+    for input in inputs {
+        cell.analyze(input)?;
+    }
+    let survivors = cell.survivors();
+    let failovers = cell.failovers();
+    let estimate = cell.degraded_estimate()?;
+    let (elapsed, _reports) = cell.finish()?;
+    Ok(DegradedRun {
+        survivors,
+        failovers,
+        estimate,
+        elapsed,
+    })
 }
 
 // =========================================================================
@@ -383,19 +497,6 @@ pub fn ms(d: VirtualDuration) -> String {
     format!("{:.3}", d.millis())
 }
 
-/// Quick single-kernel SIMD-vs-reference host check used by benches.
-pub fn verify_feature_equality(img: &ColorImage) -> bool {
-    let a = marvel::features::histogram::extract(img);
-    let mut sl = marvel::features::histogram::SlicedHistogram::new();
-    sl.update(img.data());
-    a == sl.finish()
-}
-
-/// Build a detect-ready model quickly (benches).
-pub fn bench_model(dim: usize, n: usize) -> SvmModel {
-    SvmModel::synthetic("bench", dim, n, SEED)
-}
-
 // ---------------------------------------------------------------------
 // BENCH_06: telemetry-plane overhead and wall-clock throughput
 // ---------------------------------------------------------------------
@@ -410,7 +511,6 @@ pub fn measure_trace_overhead(
     inputs: &[Compressed],
     reps: usize,
 ) -> CellResult<(std::time::Duration, std::time::Duration)> {
-    use cell_trace::TraceConfig;
     let run = |trace: TraceConfig| -> CellResult<std::time::Duration> {
         let mut best: Option<std::time::Duration> = None;
         for _ in 0..reps.max(1) {
@@ -433,14 +533,13 @@ pub fn measure_trace_overhead(
 /// spans on the wire, `Counters` tracing (flight recorder armed) and
 /// the metrics registry live. Returns `(served, wall)`.
 pub fn measure_serve_throughput(requests: usize) -> CellResult<(u64, std::time::Duration)> {
-    use cell_fault::FaultPlan;
     use cell_serve::{generate, CellServer, ServeConfig, WorkloadSpec};
     let cfg = ServeConfig {
         seed: SEED,
         queue_capacity: 1_024,
         degrade_high: 1_024,
         degrade_critical: 1_024,
-        trace: cell_trace::TraceConfig::Counters,
+        trace: TraceConfig::Counters,
         request_spans: true,
         ..ServeConfig::default()
     };
@@ -463,7 +562,7 @@ pub fn measure_serve_throughput(requests: usize) -> CellResult<(u64, std::time::
 /// Returns `(cold, prereserved)` wall times for the same push loop.
 #[must_use]
 pub fn measure_event_prealloc(events: usize) -> (std::time::Duration, std::time::Duration) {
-    use cell_trace::{EventKind, TraceConfig, Tracer, Track};
+    use cell_trace::{EventKind, Tracer, Track};
     let run = |capacity: usize| {
         let mut t = Tracer::with_event_capacity(TraceConfig::Full, Track::Ppe, 3.2e9, capacity);
         let t0 = std::time::Instant::now();
@@ -515,6 +614,62 @@ mod tests {
             pipelined.seconds() < serial.seconds(),
             "pipelined {pipelined:?} must beat send-and-wait {serial:?}"
         );
+    }
+
+    // E13 and E14 pins. The ablations run on one thread, or causally
+    // ordered through one mailbox pair, so their cycles repeat exactly.
+
+    #[test]
+    fn multibuffer_ablation_is_pinned() {
+        let runs = [1, 2, 3].map(|depth| measure_multibuffer(depth).unwrap());
+        assert_eq!(
+            runs,
+            [(392_192, 72_000), (322_436, 2_244), (322_430, 2_238)]
+        );
+    }
+
+    #[test]
+    fn eib_contention_is_pinned() {
+        let runs = [1, 2, 4, 8].map(measure_eib_contention);
+        assert_eq!(
+            runs.map(|(horizon, queued, _)| (horizon, queued)),
+            [
+                (65_537, 2_064_384),
+                (131_073, 8_323_072),
+                (262_145, 33_423_360),
+                (524_289, 133_955_584),
+            ]
+        );
+        // Every count runs at the XDR port's cap.
+        for (_, _, bandwidth) in runs {
+            assert_eq!(format!("{:.1}", bandwidth / 1e9), "25.6");
+        }
+    }
+
+    #[test]
+    fn reply_mode_ppe_times_are_pinned() {
+        let cycles = |mode| {
+            Frequency::ghz(3.2)
+                .cycles_in(measure_reply_mode(mode).unwrap())
+                .0
+        };
+        assert_eq!(cycles(ReplyMode::Polling), 93_860);
+        assert_eq!(cycles(ReplyMode::Interrupt), 203_860);
+    }
+
+    #[test]
+    fn degraded_mode_keeps_the_eq3_estimate_down_to_four_survivors() {
+        // Survivors, failovers and Eq. 3 only: the run's cycles move with
+        // the host order of DMA requests that tie in virtual time.
+        let inputs = small_workload(2, 96, 64);
+        let runs = DEGRADED_CRASHES.map(|crashed| measure_degraded(&inputs, crashed).unwrap());
+        assert_eq!(
+            runs.map(|r| (r.survivors, r.failovers)),
+            [(8, 0), (7, 1), (4, 4)]
+        );
+        for r in runs {
+            assert_eq!(r.estimate, 16.946_176_862_900_604);
+        }
     }
 
     #[test]

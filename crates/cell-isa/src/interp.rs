@@ -30,7 +30,7 @@
 
 use cell_core::{CellResult, OpClass, OpProfile};
 use cell_mfc::TagMask;
-use cell_spu::V128;
+use cell_spu::{shufb, V128};
 use cell_sys::spe::spe_fault;
 use cell_sys::SpeEnv;
 
@@ -724,15 +724,6 @@ fn branch_target(pc: u32, imm: i32) -> u32 {
     pc.wrapping_add((imm as u32).wrapping_mul(4)) & !3
 }
 
-/// `shufb`: result byte `i` is byte `c[i] & 0x1F` of the 32-byte
-/// concatenation of `a` and `b`.
-fn shufb(a: V128, b: V128, c: V128) -> V128 {
-    let mut cat = [0u8; 32];
-    cat[..16].copy_from_slice(&a.to_bytes());
-    cat[16..].copy_from_slice(&b.to_bytes());
-    V128::from_bytes(c.to_bytes().map(|i| cat[usize::from(i & 0x1F)]))
-}
-
 /// `rotqby`/`rotqbyi`: rotate the quadword left by `n & 15` bytes, so
 /// result byte `k` is source byte `(k + n) & 15` and the byte at LS
 /// offset `n` lands in byte 0. Byte 0 is the low byte of the
@@ -773,14 +764,24 @@ fn word_insert_pattern(addr: u32) -> V128 {
 mod tests {
     use super::*;
 
-    // The byte loops the quadword shuffles replaced, kept as their
-    // reference.
+    // Byte-loop references for the quadword shuffles.
 
     fn shufb_bytes(a: [u8; 16], b: [u8; 16], c: [u8; 16]) -> [u8; 16] {
         let mut out = [0u8; 16];
         for i in 0..16 {
-            let idx = (c[i] & 0x1F) as usize;
-            out[i] = if idx < 16 { a[idx] } else { b[idx - 16] };
+            out[i] = match c[i] {
+                0x80..=0xBF => 0x00,
+                0xC0..=0xDF => 0xFF,
+                0xE0..=0xFF => 0x80,
+                ctl => {
+                    let idx = (ctl & 0x1F) as usize;
+                    if idx < 16 {
+                        a[idx]
+                    } else {
+                        b[idx - 16]
+                    }
+                }
+            };
         }
         out
     }
@@ -812,18 +813,24 @@ mod tests {
         let b: [u8; 16] = std::array::from_fn(|i| 0xC0 + i as u8);
         for ctl in 0..=255u8 {
             for pos in 0..16 {
-                let mut c: [u8; 16] = std::array::from_fn(|i| (i as u8).wrapping_mul(37) ^ ctl);
-                c[pos] = ctl;
-                let got = shufb(
-                    V128::from_bytes(a),
-                    V128::from_bytes(b),
-                    V128::from_bytes(c),
-                );
-                assert_eq!(
-                    got.to_bytes(),
-                    shufb_bytes(a, b, c),
-                    "control {ctl:#04x} at {pos}"
-                );
+                let mut mixed: [u8; 16] = std::array::from_fn(|i| (i as u8).wrapping_mul(37) ^ ctl);
+                // The same selections without other fill bytes, so a
+                // control byte below 0x80 leaves the word select-only.
+                let mut lone = mixed.map(|x| x & 0x1F);
+                mixed[pos] = ctl;
+                lone[pos] = ctl;
+                for c in [mixed, lone] {
+                    let got = shufb(
+                        V128::from_bytes(a),
+                        V128::from_bytes(b),
+                        V128::from_bytes(c),
+                    );
+                    assert_eq!(
+                        got.to_bytes(),
+                        shufb_bytes(a, b, c),
+                        "control {ctl:#04x} at {pos} in {c:02x?}"
+                    );
+                }
             }
         }
     }

@@ -41,4 +41,4 @@ pub mod v128;
 
 pub use counters::SpuCounters;
 pub use spu::Spu;
-pub use v128::V128;
+pub use v128::{shufb, V128};

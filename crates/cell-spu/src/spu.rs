@@ -694,26 +694,13 @@ impl Spu {
         v.write_to(&mut buf[offset..]);
     }
 
-    /// Byte shuffle (`shufb`): each pattern byte selects from the 32-byte
-    /// concatenation `a ‖ b` by its low 5 bits; bytes with the top bit set
-    /// produce zero (a simplification of the SPU's special codes).
+    /// Byte shuffle (`shufb`): each pattern byte below 0x80 selects from
+    /// the 32-byte concatenation `a ‖ b` by its low 5 bits; the others
+    /// write the SPU's fill constants (see [`crate::v128::shufb`]).
     #[inline]
     pub fn shufb(&mut self, a: V128, b: V128, pattern: V128) -> V128 {
         self.odd();
-        let (a, b, p) = (a.to_bytes(), b.to_bytes(), pattern.to_bytes());
-        V128::from_bytes(std::array::from_fn(|i| {
-            let sel = p[i];
-            if sel & 0x80 != 0 {
-                0
-            } else {
-                let idx = (sel & 0x1F) as usize;
-                if idx < 16 {
-                    a[idx]
-                } else {
-                    b[idx - 16]
-                }
-            }
-        }))
+        crate::v128::shufb(a, b, pattern)
     }
 
     /// Rotate the quadword left by `n` bytes (`rotqby`).
@@ -1135,20 +1122,29 @@ mod tests {
     }
 
     #[test]
-    fn shufb_selects_and_zeros() {
+    fn shufb_selects_and_fills() {
         let mut s = spu();
         let a = V128::from_u8x16(std::array::from_fn(|i| i as u8)); // 0..15
         let b = V128::from_u8x16(std::array::from_fn(|i| i as u8 + 16)); // 16..31
-        let pattern = V128::from_u8x16([0, 15, 16, 31, 0x80, 5, 21, 0xFF, 1, 1, 1, 1, 2, 2, 2, 2]);
+        let pattern = V128::from_u8x16([
+            0, 15, 16, 31, 0x80, 5, 21, 0xFF, 0xBF, 0xC0, 0xDF, 0xE0, 0x7F, 0x3F, 2, 2,
+        ]);
         let r = s.shufb(a, b, pattern).as_u8x16();
         assert_eq!(r[0], 0);
         assert_eq!(r[1], 15);
         assert_eq!(r[2], 16);
         assert_eq!(r[3], 31);
-        assert_eq!(r[4], 0, "0x80 selects zero");
+        assert_eq!(r[4], 0x00, "10xxxxxx writes 0x00");
         assert_eq!(r[5], 5);
         assert_eq!(r[6], 21);
-        assert_eq!(r[7], 0, "0xFF selects zero");
+        assert_eq!(r[7], 0x80, "111xxxxx writes 0x80");
+        assert_eq!(r[8], 0x00, "10xxxxxx writes 0x00");
+        assert_eq!(r[9], 0xFF, "110xxxxx writes 0xFF");
+        assert_eq!(r[10], 0xFF, "110xxxxx writes 0xFF");
+        assert_eq!(r[11], 0x80, "111xxxxx writes 0x80");
+        assert_eq!(r[12], 31, "0x7F selects by its low 5 bits");
+        assert_eq!(r[13], 31, "0x3F selects by its low 5 bits");
+        assert_eq!(s.counters().odd, 1);
     }
 
     #[test]

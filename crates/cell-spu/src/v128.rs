@@ -179,6 +179,42 @@ impl V128 {
     }
 }
 
+/// What `shufb` writes for a control byte with its top bit set, indexed
+/// by the byte's top three bits: `10xxxxxx` writes 0x00, `110xxxxx`
+/// 0xFF and `111xxxxx` 0x80.
+const SHUFB_FILL: [u8; 8] = [0, 0, 0, 0, 0x00, 0x00, 0xFF, 0x80];
+
+/// The top bit of every control byte: a `shufb` control word without
+/// one is pure selection.
+const SHUFB_FILL_BITS: u128 = u128::from_ne_bytes([0x80; 16]);
+
+/// Byte shuffle (`shufb`), the SPU's rule: result byte `i` is byte
+/// `c[i] & 0x1F` of the 32-byte concatenation `a ‖ b` when `c[i]` is
+/// below 0x80; otherwise it is 0x00 for `10xxxxxx`, 0xFF for
+/// `110xxxxx` and 0x80 for `111xxxxx`. Pure data, like every `V128`
+/// operation; [`Spu::shufb`](crate::Spu::shufb) charges the odd-pipe
+/// issue.
+#[inline]
+pub fn shufb(a: V128, b: V128, c: V128) -> V128 {
+    let mut cat = [0u8; 32];
+    cat[..16].copy_from_slice(&a.0);
+    cat[16..].copy_from_slice(&b.0);
+    let mut out = c.0.map(|sel| cat[usize::from(sel & 0x1F)]);
+    // Interpreted kernels shuffle inside their inner loops with control
+    // words that only select (`cwd`/`cwx` patterns, stencil neighbours),
+    // so fill bytes are patched in on a path those words never take: a
+    // compare and select per byte in the lookup above cost perfbench's
+    // `isa_jobs` ~6 % of its host rate.
+    if u128::from_ne_bytes(c.0) & SHUFB_FILL_BITS != 0 {
+        for (byte, &sel) in out.iter_mut().zip(&c.0) {
+            if sel >= 0x80 {
+                *byte = SHUFB_FILL[usize::from(sel >> 5)];
+            }
+        }
+    }
+    V128(out)
+}
+
 impl fmt::Debug for V128 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "V128({:02x?})", self.0)

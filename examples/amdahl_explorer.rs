@@ -9,6 +9,7 @@
 //! cargo run --release --example amdahl_explorer
 //! ```
 
+use marvel::app::paper_kernel_specs;
 use portkit::amdahl::{
     coverage_ceiling, estimate_grouped, estimate_sequential, estimate_single,
     optimization_leverage, KernelSpec,
@@ -48,14 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- The MARVEL scenario arithmetic -----------------------------------
     println!("\nMARVEL scenarios from the paper's Table 1 (speed-ups vs Desktop = Table1/3.2):");
-    let f = 3.2;
-    let kernels = vec![
-        KernelSpec::new("CHExtract", 0.08, 53.67 / f),
-        KernelSpec::new("CCExtract", 0.54, 52.23 / f),
-        KernelSpec::new("TXExtract", 0.06, 15.99 / f),
-        KernelSpec::new("EHExtract", 0.28, 65.94 / f),
-        KernelSpec::new("ConceptDet", 0.02, 10.80 / f),
-    ];
+    let kernels = paper_kernel_specs();
     println!(
         "  scenario 1 (sequential):      {:.2}  (paper 10.90)",
         estimate_sequential(&kernels)?
@@ -76,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- What-if: kill the dominant kernel's advantage --------------------
     println!(
         "\nWhat-if: CCExtract only reaches 5x instead of {:.1}x:",
-        52.23 / f
+        kernels[1].speedup
     );
     let mut nerfed = kernels.clone();
     nerfed[1] = KernelSpec::new("CCExtract", 0.54, 5.0);
