@@ -31,11 +31,6 @@ impl Cycles {
         self.0
     }
 
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Saturating addition.
     #[inline]
     pub fn saturating_add(self, rhs: Cycles) -> Cycles {
@@ -204,11 +199,6 @@ impl VirtualDuration {
     #[inline]
     pub fn micros(self) -> f64 {
         self.0 * 1e6
-    }
-
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
     }
 
     #[inline]

@@ -128,7 +128,6 @@ impl MachineProfile {
         cpi[OpClass::SimdEven as usize] = 1.5;
         cpi[OpClass::SimdOdd as usize] = 1.5;
         cpi[OpClass::ScalarInVector as usize] = 1.0;
-        cpi[OpClass::SimdDouble as usize] = 2.0;
         MachineProfile {
             kind: MachineKind::Laptop,
             label: "Laptop (Pentium M 1.8 GHz)",
@@ -163,7 +162,6 @@ impl MachineProfile {
         cpi[OpClass::SimdEven as usize] = 2.0;
         cpi[OpClass::SimdOdd as usize] = 2.0;
         cpi[OpClass::ScalarInVector as usize] = 1.4;
-        cpi[OpClass::SimdDouble as usize] = 2.5;
         MachineProfile {
             kind: MachineKind::Desktop,
             label: "Desktop (Pentium D 3.4 GHz)",
@@ -199,7 +197,6 @@ impl MachineProfile {
         cpi[OpClass::SimdEven as usize] = 2.0;
         cpi[OpClass::SimdOdd as usize] = 2.0;
         cpi[OpClass::ScalarInVector as usize] = 3.0;
-        cpi[OpClass::SimdDouble as usize] = 4.0;
         MachineProfile {
             kind: MachineKind::Ppe,
             label: "PPE (3.2 GHz)",
@@ -234,7 +231,6 @@ impl MachineProfile {
         cpi[OpClass::SimdEven as usize] = 1.0;
         cpi[OpClass::SimdOdd as usize] = 1.0;
         cpi[OpClass::ScalarInVector as usize] = 4.0;
-        cpi[OpClass::SimdDouble as usize] = 3.5; // 2 DP ops / 7 cycles
         MachineProfile {
             kind: MachineKind::Spe,
             label: "SPE (optimized)",
@@ -260,18 +256,6 @@ impl MachineProfile {
         p.hard_miss_rate = 0.5;
         p.dma_overlap = DmaOverlap::Serialized;
         p
-    }
-
-    /// Override the CPI of one class — used by ablation benchmarks.
-    pub fn with_cpi(mut self, class: OpClass, cpi: f64) -> Self {
-        assert!(cpi >= 0.0 && cpi.is_finite(), "bad CPI {cpi}");
-        self.cpi[class as usize] = cpi;
-        self
-    }
-
-    /// CPI currently charged for one class.
-    pub fn cpi(&self, class: OpClass) -> f64 {
-        self.cpi[class as usize]
     }
 
     /// Compute-only cycles (no DMA, no mailbox), honoring dual-issue.
@@ -471,14 +455,6 @@ mod tests {
         assert!(spe.dma_cycles(&b) > spe.dma_cycles(&a));
         // 8 KiB at 8 B/cycle = 1024 cycles + 200 startup.
         assert_eq!(spe.dma_cycles(&a), Cycles(1224));
-    }
-
-    #[test]
-    fn with_cpi_overrides_one_class() {
-        let m = MachineProfile::laptop().with_cpi(OpClass::IntAlu, 10.0);
-        let mut p = OpProfile::new();
-        p.record(OpClass::IntAlu, 10);
-        assert_eq!(m.compute_cycles(&p), Cycles(100));
     }
 
     #[test]

@@ -51,13 +51,10 @@ pub enum OpClass {
     /// has no scalar unit, so each such access costs rotate+extract/insert
     /// overhead on top of the operation itself.
     ScalarInVector = 13,
-    /// Double-precision SIMD issue: the SPU issues 2 DP flops every 7
-    /// cycles, an order of magnitude below single precision (paper §2).
-    SimdDouble = 14,
 }
 
 /// Number of [`OpClass`] variants (length of the count vector).
-pub const OP_CLASSES: usize = 15;
+pub const OP_CLASSES: usize = 14;
 
 impl OpClass {
     /// All variants in index order.
@@ -76,7 +73,6 @@ impl OpClass {
         OpClass::SimdEven,
         OpClass::SimdOdd,
         OpClass::ScalarInVector,
-        OpClass::SimdDouble,
     ];
 
     /// Short stable name used in reports.
@@ -96,7 +92,6 @@ impl OpClass {
             OpClass::SimdEven => "simd_even",
             OpClass::SimdOdd => "simd_odd",
             OpClass::ScalarInVector => "scalar_in_vector",
-            OpClass::SimdDouble => "simd_double",
         }
     }
 }
@@ -216,7 +211,6 @@ impl OpProfile {
         );
         out.record(OpClass::SimdEven, self.count(OpClass::SimdEven));
         out.record(OpClass::SimdOdd, self.count(OpClass::SimdOdd));
-        out.record(OpClass::SimdDouble, self.count(OpClass::SimdDouble));
         out.dma_bytes_in = self.dma_bytes_in;
         out.dma_bytes_out = self.dma_bytes_out;
         out.dma_transfers = self.dma_transfers;

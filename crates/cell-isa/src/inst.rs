@@ -153,18 +153,6 @@ ops! {
     Fms     => ("fms",     Form::Rrr,  Pipe::Even, 0xF),
 }
 
-impl Op {
-    /// True for conditional branches (data-dependent control flow).
-    pub fn is_cond_branch(self) -> bool {
-        matches!(self, Op::Brz | Op::Brnz)
-    }
-
-    /// True for any control-transfer instruction.
-    pub fn is_branch(self) -> bool {
-        matches!(self, Op::Br | Op::Brz | Op::Brnz | Op::Bi)
-    }
-}
-
 /// A decoded instruction: opcode plus every field its form carries.
 /// Fields outside the form are zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

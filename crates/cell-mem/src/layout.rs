@@ -19,7 +19,6 @@ struct Field {
     name: &'static str,
     offset: usize,
     size: usize,
-    align: usize,
 }
 
 /// An explicit, DMA-aligned struct layout built field by field.
@@ -63,12 +62,7 @@ impl StructLayout {
             });
         }
         let offset = align_up(self.size, align);
-        self.fields.push(Field {
-            name,
-            offset,
-            size,
-            align,
-        });
+        self.fields.push(Field { name, offset, size });
         self.size = offset + size;
         self.max_align = self.max_align.max(align);
         Ok(FieldId(self.fields.len() - 1))
@@ -110,11 +104,6 @@ impl StructLayout {
     /// Declared byte size of a field.
     pub fn field_size(&self, id: FieldId) -> usize {
         self.fields[id.0].size
-    }
-
-    /// Declared alignment of a field.
-    pub fn field_align(&self, id: FieldId) -> usize {
-        self.fields[id.0].align
     }
 
     /// Look a field up by name (useful in tests and debug dumps).

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use cell_core::{align_up, is_aligned, CellError, CellResult, QUADWORD};
+use cell_core::{align_up, CellError, CellResult, QUADWORD};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -254,20 +254,6 @@ impl MainMemory {
         let d = self.offset_of(dst, len)?;
         let mut arena = self.inner.write().unwrap();
         arena.data.copy_within(s..s + len, d);
-        Ok(())
-    }
-
-    /// Whether `addr` is DMA-aligned to `align`.
-    pub fn check_alignment(&self, addr: u64, align: usize) -> CellResult<()> {
-        if !is_aligned((addr - BASE_ADDR.min(addr)) as usize, align)
-            || !addr.is_multiple_of(align as u64)
-        {
-            return Err(CellError::Misaligned {
-                what: "effective address",
-                addr,
-                required: align,
-            });
-        }
         Ok(())
     }
 }

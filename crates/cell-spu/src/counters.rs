@@ -16,28 +16,12 @@ pub struct SpuCounters {
     pub branches: u64,
     /// Unhinted, data-dependent branches.
     pub branches_hard: u64,
-    /// Double-precision SIMD issues (2 ops / 7 cycles on real silicon).
-    pub double: u64,
 }
 
 impl SpuCounters {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Total issues of every kind.
     pub fn total(&self) -> u64 {
-        self.even + self.odd + self.scalar + self.branches + self.branches_hard + self.double
-    }
-
-    /// Merge another tally into this one.
-    pub fn merge(&mut self, other: &SpuCounters) {
-        self.even += other.even;
-        self.odd += other.odd;
-        self.scalar += other.scalar;
-        self.branches += other.branches;
-        self.branches_hard += other.branches_hard;
-        self.double += other.double;
+        self.even + self.odd + self.scalar + self.branches + self.branches_hard
     }
 
     /// Difference since an earlier snapshot (for per-slice accounting).
@@ -48,7 +32,6 @@ impl SpuCounters {
             scalar: self.scalar - earlier.scalar,
             branches: self.branches - earlier.branches,
             branches_hard: self.branches_hard - earlier.branches_hard,
-            double: self.double - earlier.double,
         }
     }
 
@@ -60,12 +43,7 @@ impl SpuCounters {
         p.record(OpClass::ScalarInVector, self.scalar);
         p.record(OpClass::Branch, self.branches);
         p.record(OpClass::BranchHard, self.branches_hard);
-        p.record(OpClass::SimdDouble, self.double);
         p
-    }
-
-    pub fn reset(&mut self) {
-        *self = SpuCounters::default();
     }
 }
 
@@ -74,22 +52,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_and_total() {
-        let mut a = SpuCounters {
-            even: 10,
+    fn total_counts_every_kind() {
+        let c = SpuCounters {
+            even: 11,
             odd: 5,
-            ..Default::default()
-        };
-        let b = SpuCounters {
-            even: 1,
             scalar: 2,
+            branches: 4,
             branches_hard: 3,
-            ..Default::default()
         };
-        a.merge(&b);
-        assert_eq!(a.even, 11);
-        assert_eq!(a.scalar, 2);
-        assert_eq!(a.total(), 11 + 5 + 2 + 3);
+        assert_eq!(c.total(), 11 + 5 + 2 + 4 + 3);
     }
 
     #[test]
@@ -119,7 +90,6 @@ mod tests {
             scalar: 2,
             branches: 1,
             branches_hard: 4,
-            double: 6,
         };
         let p = c.to_profile();
         assert_eq!(p.count(OpClass::SimdEven), 7);
@@ -127,16 +97,5 @@ mod tests {
         assert_eq!(p.count(OpClass::ScalarInVector), 2);
         assert_eq!(p.count(OpClass::Branch), 1);
         assert_eq!(p.count(OpClass::BranchHard), 4);
-        assert_eq!(p.count(OpClass::SimdDouble), 6);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let mut c = SpuCounters {
-            even: 1,
-            ..Default::default()
-        };
-        c.reset();
-        assert_eq!(c, SpuCounters::default());
     }
 }

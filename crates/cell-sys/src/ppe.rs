@@ -34,7 +34,6 @@ pub struct Ppe {
     mailboxes: Vec<MailboxPair>,
     signals1: Vec<Arc<SignalRegister>>,
     signals2: Vec<Arc<SignalRegister>>,
-    profile: OpProfile,
     tracer: Tracer,
 }
 
@@ -55,7 +54,6 @@ impl Ppe {
             mailboxes,
             signals1,
             signals2,
-            profile: OpProfile::new(),
             tracer: Tracer::new(trace_config, Track::Ppe, hz),
         }
     }
@@ -111,21 +109,14 @@ impl Ppe {
     }
 
     /// Account PPE-side computation: advances the PPE clock by the profile
-    /// costed with the PPE model, and accumulates into the PPE's total.
+    /// costed with the PPE model.
     pub fn charge(&mut self, work: &OpProfile) {
-        let cycles = self.model.cycles(work);
-        self.clock.advance(cycles);
-        self.profile.merge(work);
+        self.clock.advance(self.model.cycles(work));
     }
 
     /// Advance the PPE clock by raw cycles (I/O waits, OS overhead).
     pub fn charge_cycles(&mut self, n: u64) {
         self.clock.advance(Cycles(n));
-    }
-
-    /// Total work charged to the PPE so far.
-    pub fn total_profile(&self) -> &OpProfile {
-        &self.profile
     }
 
     /// Elapsed virtual time.
@@ -139,7 +130,6 @@ impl Ppe {
     pub fn write_in_mbox(&mut self, spe: usize, value: u32) -> CellResult<()> {
         self.check_spe(spe)?;
         self.clock.advance(Cycles(50));
-        self.profile.mailbox_ops += 1;
         self.tracer.span_epoch(
             EventKind::MailboxSend,
             "mbox_send",
@@ -212,7 +202,6 @@ impl Ppe {
         self.clock.advance_to(s.stamp + MAILBOX_LATENCY);
         let blocked = self.clock.now() - t0;
         self.clock.advance(Cycles(exit_cycles));
-        self.profile.mailbox_ops += 1;
         self.tracer.span_epoch(
             EventKind::MailboxRecv,
             "mbox_recv",
@@ -242,15 +231,6 @@ impl Ppe {
         self.check_spe(spe)?;
         self.clock.advance(Cycles(50));
         self.signals2[spe].send(bits)
-    }
-
-    /// Synchronize the PPE clock with a set of worker completion stamps
-    /// (used by group scheduling: the PPE resumes when the *latest* group
-    /// member finishes).
-    pub fn join_at(&mut self, stamps: impl IntoIterator<Item = u64>) {
-        if let Some(max) = stamps.into_iter().max() {
-            self.clock.advance_to(max + MAILBOX_LATENCY);
-        }
     }
 }
 

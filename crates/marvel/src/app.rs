@@ -616,15 +616,6 @@ impl CellMarvel {
             .estimate_degraded(&paper_kernel_specs(), self.survivors())
     }
 
-    /// Charge the one-time startup overhead (model loading etc.) to the
-    /// PPE clock. Separate from `new` so experiments can measure
-    /// processing time and wall time independently, exactly like the
-    /// paper's gprof-vs-wall distinction in §5.2.
-    pub fn charge_one_time(&mut self) {
-        self.ppe
-            .charge_cycles((ONE_TIME_OVERHEAD * self.ppe.clock.frequency().hertz()) as u64);
-    }
-
     pub fn models(&self) -> &MarvelModels {
         &self.models
     }
@@ -1137,7 +1128,6 @@ mod tests {
             scalar,
             branches,
             branches_hard,
-            double: 0,
         };
         let cd = c(51_882, 44_874, 6_624, 0, 0);
         let pinned = [

@@ -3,9 +3,10 @@
 //! Each kernel follows paper Listing 1 exactly: a [`KernelDispatcher`]
 //! idle loop reads `(opcode, wrapper address)` pairs from the inbound
 //! mailbox, DMAs the wrapper header, streams the bulk data through the
-//! local store in halo-padded bands (paper §3.4), computes with the
-//! `cell-spu` SIMD ISA, DMAs results back into the wrapper's output
-//! buffer, and reports through the outbound mailbox.
+//! local store in halo-padded bands (paper §3.4), computes in host code
+//! while charging the SIMD issue sequence it models to `cell-spu`, DMAs
+//! results back into the wrapper's output buffer, and reports through
+//! the outbound mailbox.
 //!
 //! Every extraction kernel also has an **unoptimized** body — the state
 //! right after the C++ → C port, before §4.1's optimizations: scalar

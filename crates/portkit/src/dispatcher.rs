@@ -78,8 +78,6 @@ pub struct KernelDispatcher {
     name: &'static str,
     functions: Vec<(&'static str, KernelEntry)>,
     reply_mode: ReplyMode,
-    /// Invocations served, per function (diagnostics).
-    calls: Vec<u64>,
     /// Next free offset in the LS code region for uploaded images.
     next_code_base: u32,
     /// Images are uploaded to the local store once, at first dispatch.
@@ -93,7 +91,6 @@ impl KernelDispatcher {
             name,
             functions: Vec::new(),
             reply_mode,
-            calls: Vec::new(),
             next_code_base: 0,
             images_uploaded: false,
             isa_trace_sink: None,
@@ -109,7 +106,6 @@ impl KernelDispatcher {
     ) -> u32 {
         self.functions
             .push((fn_name, KernelEntry::Native(Box::new(f))));
-        self.calls.push(0);
         run_opcode(self.functions.len() as u32 - 1)
     }
 
@@ -123,7 +119,6 @@ impl KernelDispatcher {
         self.next_code_base += ((image.bytes.len() as u32) + 15) & !15;
         self.functions
             .push((fn_name, KernelEntry::Isa(IsaKernel { image, code_base })));
-        self.calls.push(0);
         run_opcode(self.functions.len() as u32 - 1)
     }
 
@@ -178,11 +173,6 @@ impl KernelDispatcher {
 
     pub fn is_empty(&self) -> bool {
         self.functions.is_empty()
-    }
-
-    /// Calls served per registered function so far.
-    pub fn call_counts(&self) -> &[u64] {
-        &self.calls
     }
 
     /// The dispatcher's wire codec: every registered function name and
@@ -248,7 +238,6 @@ impl KernelDispatcher {
         env.tracer_mut()
             .span(EventKind::Kernel, fn_name, t0, dur, idx as u64, 0);
         env.tracer_mut().count(Counter::KernelInvocations, 1);
-        self.calls[idx] += 1;
         // Idle-loop reset: the static scheduling of §3.3 keeps the SPE
         // resident; each invocation reuses the data region afresh.
         env.ls.reset();

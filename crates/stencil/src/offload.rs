@@ -330,6 +330,30 @@ mod tests {
     }
 
     #[test]
+    fn solve_virtual_time_and_spu_tally_are_pinned() {
+        // One SPE behind a one-lane engine: the PPE clock around a solve
+        // is a pure function of the grid and the sweep count.
+        let run = |width, height, iters| {
+            let grid = Grid::heat_problem(width, height).unwrap();
+            let mut app = StencilApp::new().unwrap();
+            let start = app.ppe.clock.now();
+            app.solve(&grid, iters).unwrap();
+            let end = app.ppe.clock.now();
+            let c = app.finish().unwrap()[0].counters;
+            (
+                start,
+                end,
+                [c.even, c.odd, c.scalar, c.branches, c.branches_hard],
+            )
+        };
+        // LS-resident: 24 blocks per row, 62 rows, 7 sweeps; each block
+        // is 4 even and 5 odd issues.
+        assert_eq!(run(96, 64, 7), (0, 79_032, [41_664, 52_080, 0, 0, 0]));
+        // Banded: 128 blocks per row, 254 rows, one sweep.
+        assert_eq!(run(512, 256, 1), (0, 455_036, [130_048, 162_560, 0, 0, 0]));
+    }
+
+    #[test]
     fn zero_iterations_is_identity() {
         let grid = Grid::heat_problem(64, 48).unwrap();
         let mut app = StencilApp::new().unwrap();

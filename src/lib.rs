@@ -8,7 +8,7 @@
 //! * [`cell_mem`] — main memory and local store.
 //! * [`cell_eib`] — interconnect bandwidth/contention model.
 //! * [`cell_mfc`] — DMA engine: commands, tags, lists, multibuffering.
-//! * [`cell_spu`] — 128-bit SIMD emulation with pipeline accounting.
+//! * [`cell_spu`] — SPU issue accounting per pipeline; the 128-bit register value.
 //! * [`cell_sys`] — the machine: PPE, SPE threads, mailboxes, signals.
 //! * [`cell_isa`] — SPU instruction-set backend: decoder, assembler, interpreter.
 //! * [`cell_trace`] — event bus, counters, Chrome-trace + metrics export.
